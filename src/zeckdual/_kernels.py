@@ -1,10 +1,9 @@
 """Batch int64 kernels for range scans.
 
-Two interchangeable implementations of each kernel: a numba ``@njit`` row
-loop and a pure-numpy column sweep.  ``ZECK_NUMBA=1`` forces numba,
-``ZECK_NUMBA=0`` forces numpy, unset tries numba and quietly falls back.
-Exact big-int arithmetic lives in ``numeration``/``duality``; these kernels
-only handle values that fit comfortably in int64 (callers check).
+Each kernel is a numpy column sweep: every row is one input value, and the
+loop runs over weight indices with all rows advanced together.  Exact
+big-int arithmetic lives in ``numeration``/``duality``; these kernels only
+handle values that fit comfortably in int64 (callers check).
 
 Digit extraction, membership and the dual count all share one structure:
 walk the weights from the top, peel off the capped digit (the floor
@@ -18,27 +17,12 @@ passed.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_FORCE = os.environ.get("ZECK_NUMBA", "").strip()
-
-_HAVE_NUMBA = False
-if _FORCE != "0":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _FORCE == "1":
-            raise
-        _HAVE_NUMBA = False
 
 
 def kernels_enabled() -> bool:
-    """True when the numba path is active."""
-    return _HAVE_NUMBA
+    """Always False (no compiled backend); kept because ``bench/run.py`` records it as a machine fact."""
+    return False
 
 
 def digit_matrix(xs, weights, caps):
@@ -66,10 +50,8 @@ def digit_matrix(xs, weights, caps):
     return out
 
 
-# -- numpy column sweeps ----------------------------------------------------
-
-
-def _member_flags_np(ns, sup_w, sup_caps, caps):
+def member_flags(ns, sup_w, sup_caps, caps):
+    """Membership of the sup-expansion of each n in the ``caps`` pattern."""
     digits = digit_matrix(ns, sup_w, sup_caps)
     nrows, m = digits.shape
     N = len(caps)
@@ -87,7 +69,8 @@ def _member_flags_np(ns, sup_w, sup_caps, caps):
     return ~failed
 
 
-def _dual_counts_np(xs, sup_w, sup_caps, caps, sub_w):
+def dual_counts(xs, sup_w, sup_caps, caps, sub_w):
+    """Exact expressible count below each x; ``sub_w`` must extend one past ``sup_w``."""
     digits = digit_matrix(xs, sup_w, sup_caps)
     nrows, m = digits.shape
     N = len(caps)
@@ -115,98 +98,3 @@ def _dual_counts_np(xs, sup_w, sup_caps, caps, sub_w):
     alive = ~failed
     z[alive] = done[alive] + cur[alive]
     return z
-
-
-# -- numba row loops --------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _member_flags_nb(ns, sup_w, sup_caps, caps):
-        n = ns.shape[0]
-        m = sup_w.shape[0]
-        Ns = sup_caps.shape[0]
-        N = caps.shape[0]
-        out = np.empty(n, dtype=np.bool_)
-        for i in range(n):
-            rem = ns[i]
-            spos = 0
-            pos = 0
-            ok = True
-            for j in range(m, 0, -1):
-                w = sup_w[j - 1]
-                d = rem // w
-                scap = sup_caps[spos % Ns]
-                if d > scap:
-                    d = scap
-                rem -= d * w
-                if d == scap:
-                    spos += 1
-                else:
-                    spos = 0
-                cap = caps[pos % N]
-                if d > cap:
-                    ok = False
-                    break
-                if d < cap:
-                    pos = 0
-                else:
-                    pos += 1
-            out[i] = ok
-        return out
-
-    @njit(cache=True)
-    def _dual_counts_nb(xs, sup_w, sup_caps, caps, sub_w):
-        n = xs.shape[0]
-        m = sup_w.shape[0]
-        Ns = sup_caps.shape[0]
-        N = caps.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            rem = xs[i]
-            spos = 0
-            pos = 0
-            done = np.int64(0)
-            cur = np.int64(0)
-            res = np.int64(-1)
-            for j in range(m, 0, -1):
-                w = sup_w[j - 1]
-                d = rem // w
-                scap = sup_caps[spos % Ns]
-                if d > scap:
-                    d = scap
-                rem -= d * w
-                if d == scap:
-                    spos += 1
-                else:
-                    spos = 0
-                cap = caps[pos % N]
-                if d > cap:
-                    t0 = j + pos
-                    res = sub_w[t0] + done
-                    break
-                cur += d * sub_w[j - 1]
-                if d < cap:
-                    done += cur
-                    cur = 0
-                    pos = 0
-                else:
-                    pos += 1
-            if res < 0:
-                res = done + cur
-            out[i] = res
-        return out
-
-
-def member_flags(ns, sup_w, sup_caps, caps):
-    """Membership of the sup-expansion of each n in the ``caps`` pattern."""
-    if _HAVE_NUMBA:
-        return _member_flags_nb(ns, sup_w, sup_caps, caps)
-    return _member_flags_np(ns, sup_w, sup_caps, caps)
-
-
-def dual_counts(xs, sup_w, sup_caps, caps, sub_w):
-    """Exact expressible count below each x; ``sub_w`` must extend one past ``sup_w``."""
-    if _HAVE_NUMBA:
-        return _dual_counts_nb(xs, sup_w, sup_caps, caps, sub_w)
-    return _dual_counts_np(xs, sup_w, sup_caps, caps, sub_w)

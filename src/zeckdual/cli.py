@@ -272,7 +272,7 @@ def cmd_verify(args) -> int:
         top = min(max_x, 10**5)
         bad_n = next((n for n in range(min(top, 2000) + 1) if num.decode(num.encode(n)) != n), None)
         if bad_n is None and top > 2000:
-            ws = np.asarray(num.weights(_top_index(num, top)), dtype=np.int64)
+            ws = np.asarray(num.weights(num.top_index(top)), dtype=np.int64)
             caps = np.asarray(num.rule.entries, dtype=np.int64)
             xs = np.arange(0, top + 1, dtype=np.int64)
             digits = _kernels.digit_matrix(xs, ws, caps)
@@ -299,13 +299,6 @@ def cmd_verify(args) -> int:
         report(f"normalization_{label}", abs(norm - 1.0) < 1e-10, f"value={fmt(norm)}")
 
     return 0 if ok else 1
-
-
-def _top_index(num: Numeration, max_x: int) -> int:
-    m = 1
-    while num.weight(m + 1) <= max_x:
-        m += 1
-    return m
 
 
 def build_parser() -> argparse.ArgumentParser:

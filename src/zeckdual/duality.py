@@ -119,9 +119,7 @@ class SystemPair:
 
         if max_x >= 1 << 62:
             return None
-        m = 1
-        while self.sup_num.weight(m + 1) <= max_x:
-            m += 1
+        m = self.sup_num.top_index(max_x)
         ws = self.sup_num.weights(m)
         wsub = self.sub_num.weights(m + 1)
         if wsub[-1] >= 1 << 63 or ws[-1] >= 1 << 63:

@@ -12,11 +12,18 @@ them into the lim sup / lim inf of count(x) / x**gamma.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .digits import DigitRule, DigitVector
 from .duality import SystemPair
 from .spectra import SpectralConstants, derived_constants
+
+
+# extremes() refuses pairs that would generate more candidate strings than
+# this; (2,0) in (2,1), among the largest that finish in seconds, generates 116,430
+MAX_CANDIDATES = 10**6
 
 
 class InvalidCandidateError(ValueError):
@@ -128,6 +135,25 @@ def delta_star(pair: SystemPair, cand: StarCandidate, consts: SpectralConstants)
     return num / den**consts.gamma
 
 
+def _tiling_count_seq(rule: DigitRule):
+    """Yield the tiling counts of [1, n] for n = 0, 1, 2, ... without end."""
+    ent = rule.entries
+    N = len(ent)
+    recent = deque([1], maxlen=N)  # recent[-k] is the count for n - k
+    yield 1
+    n = 0
+    while True:
+        n += 1
+        if n <= N:
+            c = sum(ent[j - 1] * recent[-j] for j in range(1, n + 1))
+        else:
+            c = (1 + ent[N - 1]) * recent[-N]
+            for k in range(1, N):
+                c += ent[k - 1] * recent[-k]
+        recent.append(c)
+        yield c
+
+
 def tiling_counts(rule: DigitRule, n_max: int) -> list[int]:
     """Exact number of block tilings of [1, n] for n = 0..n_max.
 
@@ -137,18 +163,7 @@ def tiling_counts(rule: DigitRule, n_max: int) -> list[int]:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    ent = rule.entries
-    N = len(ent)
-    C = [1]
-    for n in range(1, n_max + 1):
-        if n <= N:
-            C.append(sum(ent[j - 1] * C[n - j] for j in range(1, n + 1)))
-        else:
-            acc = (1 + ent[N - 1]) * C[n - N]
-            for k in range(1, N):
-                acc += ent[k - 1] * C[n - k]
-            C.append(acc)
-    return C
+    return list(islice(_tiling_count_seq(rule), n_max + 1))
 
 
 def enumerate_tilings(rule: DigitRule, n: int):
@@ -245,13 +260,28 @@ def extremes(pair: SystemPair, consts: SpectralConstants | None = None) -> Extre
     cands: list[StarCandidate] = []
 
     top_tail = math.ceil(max(2.0, consts.p_star))
+    span = consts.p_dagger - 1
+    maxd = rule.max_digit
+    # Count the strings generated below (every digit string of length span,
+    # every tiling below each tail position) and stop once past the limit:
+    # near-equal growth rates push p so high that the full count would have
+    # thousands of digits.  A box of 2**20 strings is already past it.
+    generated = (maxd + 1) ** min(span, MAX_CANDIDATES.bit_length())
+    for count in islice(_tiling_count_seq(rule), top_tail):
+        generated += count
+        if generated > MAX_CANDIDATES:
+            break
+    if generated > MAX_CANDIDATES:
+        raise ValueError(
+            f"extremes would generate more than {MAX_CANDIDATES} candidate strings for "
+            f"{pair.sub} in {pair.sup} (tail positions up to {top_tail}, "
+            f"finite strings of length {span})"
+        )
     for ti in range(1, top_tail + 1):
         for tiling in enumerate_tilings(rule, ti - 1):
             if ti == 1 or tiling.get(1, 0) >= 1:
                 cands.append(StarCandidate(DigitVector(tiling), ti))
 
-    span = consts.p_dagger - 1
-    maxd = rule.max_digit
     digits = [0] * span
 
     def rec_finite(idx):

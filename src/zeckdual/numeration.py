@@ -8,6 +8,8 @@ here is exact (Python ints); the int64 fast paths live in ``_kernels``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .digits import DigitRule, DigitVector, basis_predecessor, decompose, is_member, NotMemberError
 
 
@@ -56,6 +58,13 @@ class Numeration:
         self._extend_to(count)
         return self._w[:count]
 
+    def top_index(self, n: int) -> int:
+        """Number of weights <= n: the top index of n's expansion, 0 for n == 0."""
+        w = self._w
+        while w[-1] <= n:
+            self._extend_to(len(w) + 1)
+        return bisect_right(w, n)
+
     def decode(self, vec: DigitVector) -> int:
         """Value of a digit vector: sum of digit * weight."""
         return sum(v * self.weight(k) for k, v in vec.items())
@@ -74,9 +83,7 @@ class Numeration:
             raise ValueError(f"cannot encode negative value {n}")
         if n == 0:
             return DigitVector()
-        t = 1
-        while self.weight(t + 1) <= n:
-            t += 1
+        t = self.top_index(n)
         d = {}
         rem = n
         off = 0
@@ -105,9 +112,7 @@ class Numeration:
         """
         if max_value <= 0:
             return
-        top = 0
-        while self.weight(top + 1) < max_value:
-            top += 1
+        top = self.top_index(max_value - 1)
         maxd = self.rule.max_digit
         out = []
 

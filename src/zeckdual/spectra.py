@@ -151,12 +151,16 @@ def derived_constants(pair: SystemPair) -> SpectralConstants:
     ent = pair.sub.entries
     N = len(ent)
     rho = sum(e * omega_sup**k for k, e in enumerate(ent, start=1)) / (1.0 - omega_sup**N)
-    p = 1
-    while not gamma * omega_sup ** (p - 1) < omega**p:
-        p += 1
-    p_star = p + 1 + (N * math.log(phi) + math.log(1.0 - rho + omega_sup**N)) / (
-        math.log(phi_sup) - math.log(phi)
-    )
+    gap = math.log(phi_sup) - math.log(phi)
+    if not gap > 0:
+        raise ValueError(
+            f"growth rates of {pair.sub} and {pair.sup} are not separated in double precision"
+        )
+    # least p >= 1 with gamma * omega_sup**(p-1) < omega**p, taken in log space:
+    # both powers underflow to 0.0 long before p reaches its value on
+    # near-equal growth rates, where a direct search would never stop
+    p = max(1, math.floor((math.log(gamma) + math.log(phi_sup)) / gap) + 1)
+    p_star = p + 1 + (N * math.log(phi) + math.log(1.0 - rho + omega_sup**N)) / gap
     return SpectralConstants(
         phi=phi,
         phi_sup=phi_sup,

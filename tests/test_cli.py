@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -101,6 +102,16 @@ def test_extremes_json(capsys):
     names = [c["candidate"] for c in payload["candidates"]]
     assert names[0] == "tail@1"
     assert "1:1" in names
+
+
+def test_extremes_refuses_huge_candidate_list(capsys):
+    # about 10^100 candidate strings; enumerating them would never finish
+    start = time.monotonic()
+    code, out, err = run(capsys, ["extremes", "--sub", "3,3,2", "--super", "3,3"])
+    assert time.monotonic() - start < 10
+    assert code == 2
+    assert out == ""
+    assert "error: extremes would generate more than 1000000 candidate strings" in err
 
 
 def test_scan_single_row(capsys):

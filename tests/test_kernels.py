@@ -1,13 +1,6 @@
-import importlib.util
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import zeckdual
 from zeckdual import SystemPair, is_member
 from zeckdual import _kernels
 
@@ -39,32 +32,17 @@ def test_digit_matrix_reassembles(pair):
         assert digits[i].tolist() == dense
 
 
-def test_numpy_and_numba_paths_agree(pair):
+def test_kernels_match_exact(pair):
     xs = np.array(SCATTERED, dtype=np.int64)
     ns = np.arange(0, 3000, dtype=np.int64)
     sup_w, sup_caps, caps, sub_w = pair._int64_tables(100000)
-    flags_np = _kernels._member_flags_np(ns, sup_w, sup_caps, caps)
-    counts_np = _kernels._dual_counts_np(xs, sup_w, sup_caps, caps, sub_w)
+    flags_np = _kernels.member_flags(ns, sup_w, sup_caps, caps)
+    counts_np = _kernels.dual_counts(xs, sup_w, sup_caps, caps, sub_w)
     # the numpy path must match the exact object-level routines
     expect = [pair.count_expressible(int(x)) for x in xs]
     assert counts_np.tolist() == expect
     member = [is_member(pair.sub, pair.sup_num.encode(int(n))) for n in ns[:400]]
     assert flags_np[:400].tolist() == member
-
-
-@pytest.mark.skipif(not _kernels._HAVE_NUMBA, reason="numba not installed")
-def test_numba_path_matches_numpy(pair):
-    xs = np.array(SCATTERED, dtype=np.int64)
-    ns = np.arange(0, 3000, dtype=np.int64)
-    sup_w, sup_caps, caps, sub_w = pair._int64_tables(100000)
-    assert np.array_equal(
-        _kernels._member_flags_np(ns, sup_w, sup_caps, caps),
-        _kernels._member_flags_nb(ns, sup_w, sup_caps, caps),
-    )
-    assert np.array_equal(
-        _kernels._dual_counts_np(xs, sup_w, sup_caps, caps, sub_w),
-        _kernels._dual_counts_nb(xs, sup_w, sup_caps, caps, sub_w),
-    )
 
 
 def test_scan_top_is_irrelevant(pair):
@@ -154,36 +132,5 @@ def test_clipping_sup_rule():
     assert row[:3].tolist() == [3, 2, 0]
 
 
-def _kernels_enabled_in_child(flag):
-    """Run ``kernels_enabled()`` in a fresh interpreter with ``ZECK_NUMBA=flag``.
-
-    The child inherits this process's environment, with the directory of the
-    ``zeckdual`` package under test first on its ``PYTHONPATH``, so it imports
-    the same copy of the code whether that is installed or taken from ``src/``.
-    """
-    pkg_root = str(Path(zeckdual.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    pythonpath = os.pathsep.join([pkg_root] + [p for p in inherited if p])
-    env = {**os.environ, "PYTHONPATH": pythonpath, "ZECK_NUMBA": flag}
-    code = "import zeckdual._kernels as k; print(k.kernels_enabled())"
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-
-
-def test_env_flag_disables_numba():
-    out = _kernels_enabled_in_child("0")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
-    # ZECK_NUMBA=1 forces numba: enabled where it imports, an import error where not
-    out = _kernels_enabled_in_child("1")
-    if importlib.util.find_spec("numba") is not None:
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "True"
-    else:
-        assert out.returncode != 0
-        assert "ModuleNotFoundError: No module named 'numba'" in out.stderr
-
-
 def test_kernels_enabled_reports_dispatch():
-    assert _kernels.kernels_enabled() == _kernels._HAVE_NUMBA
+    assert _kernels.kernels_enabled() is False

@@ -81,6 +81,18 @@ def test_encode_clips_to_cap():
 
 
 @pytest.mark.parametrize("entries", TEST_RULES)
+def test_top_index_counts_weights(entries):
+    num = Numeration(DigitRule(entries))
+    assert num.top_index(0) == 0
+    w = num.weights(30)
+    for k in range(1, 30):
+        assert num.top_index(w[k - 1]) == k
+        assert num.top_index(w[k] - 1) == k
+    for n in range(1, 500):
+        assert num.top_index(n) == num.encode(n).order
+
+
+@pytest.mark.parametrize("entries", TEST_RULES)
 def test_encode_decode_roundtrip_small(entries):
     num = Numeration(DigitRule(entries))
     for n in range(3000):

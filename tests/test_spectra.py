@@ -124,6 +124,46 @@ def test_gain_index_is_minimal(name, constants):
         assert not c.gamma * c.omega_sup ** (q - 1) < c.omega**q
 
 
+# p as found by searching p = 1, 2, ... for the first index where the
+# inequality holds; the log-space closed form must reproduce it
+SEARCHED_P = [
+    ((1, 0), (1, 1), 2),
+    ((1, 1, 0), (2, 2, 2), 2),
+    ((2, 0, 1), (10, 4), 1),
+    ((1, 1, 0), (1, 1), 7),
+    ((2, 2), (3, 3), 5),
+    ((2, 0), (2, 1), 8),
+    ((2, 3, 1), (3, 2), 7),
+    ((1, 1, 1, 0), (1, 1), 18),
+    ((3, 3, 2), (3, 3), 113),
+]
+
+
+@pytest.mark.parametrize("sub,sup,p", SEARCHED_P)
+def test_gain_index_matches_search(sub, sup, p):
+    assert derived_constants(SystemPair(sub, sup)).p == p
+
+
+def test_gain_index_past_underflow():
+    """Both sides of the inequality underflow to 0.0 long before p = 25574."""
+    c = derived_constants(SystemPair((9, 9, 9, 8), (9, 9)))
+    assert c.p == 25574
+
+    def holds(q):
+        return math.log(c.gamma) + (q - 1) * math.log(c.omega_sup) < q * math.log(c.omega)
+
+    assert holds(c.p)
+    assert not holds(c.p - 1)
+    assert c.p_dagger == c.p
+
+
+def test_gain_index_refuses_unresolved_growth_rates():
+    # a valid pair whose two dominant roots round to the same double
+    pair = SystemPair((9,) * 17 + (8,), (9, 9))
+    with pytest.raises(ValueError, match="not separated in double precision"):
+        derived_constants(pair)
+
+
 @pytest.mark.parametrize("name", ["binary", "third", "nonbase"])
 def test_exponent_identity(name, constants):
     # omega_sup**gamma equals omega by construction; both sides computed independently
