@@ -137,16 +137,21 @@ class SystemPair:
 
         from . import _kernels
 
-        xs = list(xs)
-        if not xs:
+        if iter(xs) is xs:  # a one-shot iterator has no length; read it once
+            xs = list(xs)
+        try:
+            arr = np.asarray(xs, dtype=np.int64)
+        except OverflowError:
+            arr = np.array([int(x) for x in xs], dtype=object)
+        if not len(arr):
             return np.zeros(0, dtype=np.int64)
-        if min(xs) < 1:
+        if arr.min() < 1:
             raise ValueError("count needs x >= 1")
-        tables = self._int64_tables(max(xs))
+        tables = self._int64_tables(int(arr.max()))
         if tables is None:
-            return np.array([self.count_expressible(x) for x in xs], dtype=object)
+            return np.array([self.count_expressible(int(x)) for x in arr], dtype=object)
         sup_w, sup_caps, caps, sub_w = tables
-        return _kernels.dual_counts(np.asarray(xs, dtype=np.int64), sup_w, sup_caps, caps, sub_w)
+        return _kernels.dual_counts(arr, sup_w, sup_caps, caps, sub_w)
 
     def expressible_mask(self, lo: int, hi: int):
         """Boolean array over n in [lo, hi): sup-expansion is a sub member."""

@@ -106,33 +106,36 @@ class Numeration:
     def members_below(self, max_value: int):
         """Yield ``(vector, value)`` for every member with value < max_value, ascending.
 
-        Digits are bounded by the largest rule cap, so the search space is a
-        finite box; value pruning keeps the walk close to the actual member
-        count.
+        The walk places digits top down and runs the block scan as it goes:
+        a digit over the cap at the current offset fails every extension,
+        so it is never placed, and a prefix whose value reaches
+        ``max_value`` is dropped.  Every leaf is still checked with
+        ``is_member``.
         """
         if max_value <= 0:
             return
         top = self.top_index(max_value - 1)
-        maxd = self.rule.max_digit
         out = []
 
-        def walk(idx, acc, digits):
+        def walk(idx, acc, off, digits):
             if idx == 0:
                 vec = DigitVector(digits)
                 if is_member(self.rule, vec):
                     out.append((vec, acc))
                 return
             w = self._w[idx - 1]
+            cap = self.rule.cap(off)
             v = acc
-            for d in range(maxd + 1):
+            for d in range(cap + 1):
                 if v >= max_value:
                     break
                 if d:
                     digits[idx] = d
-                walk(idx - 1, v, digits)
+                # below the cap the block closes, at the cap it stays open
+                walk(idx - 1, v, off + 1 if d == cap else 0, digits)
                 v += w
             digits.pop(idx, None)
 
-        walk(top, 0, {})
+        walk(top, 0, 0, {})
         out.sort(key=lambda t: t[1])
         yield from out

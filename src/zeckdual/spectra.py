@@ -74,6 +74,16 @@ def dominant_root(coeffs, tol: float = 1e-12) -> float:
     return x
 
 
+def _log_root_error(coeffs, root: float) -> float:
+    """Error bound on ``log(root)`` for a root polished by ``dominant_root``.
+
+    The size of one more Newton step, relative to the root, bounds the
+    root's own error; a few ulps of the log cover rounding in ``log``.
+    """
+    step = poly_eval(coeffs, root) / poly_eval(poly_derivative(coeffs), root)
+    return abs(step) / root + 4 * math.ulp(math.log(root))
+
+
 def growth_constant(rule: DigitRule, root: float, num: Numeration | None = None) -> float:
     """Limit of weight(n) / root**(n-1).
 
@@ -140,9 +150,15 @@ class SpectralConstants:
         }
 
 
+# the log gap of the growth rates must exceed this many root error bounds
+_GAP_MARGIN = 16
+
+
 def derived_constants(pair: SystemPair) -> SpectralConstants:
-    phi = dominant_root(char_poly(pair.sub))
-    phi_sup = dominant_root(char_poly(pair.sup))
+    sub_poly = char_poly(pair.sub)
+    sup_poly = char_poly(pair.sup)
+    phi = dominant_root(sub_poly)
+    phi_sup = dominant_root(sup_poly)
     omega = 1.0 / phi
     omega_sup = 1.0 / phi_sup
     gamma = math.log(phi) / math.log(phi_sup)
@@ -152,9 +168,12 @@ def derived_constants(pair: SystemPair) -> SpectralConstants:
     N = len(ent)
     rho = sum(e * omega_sup**k for k, e in enumerate(ent, start=1)) / (1.0 - omega_sup**N)
     gap = math.log(phi_sup) - math.log(phi)
-    if not gap > 0:
+    err = _log_root_error(sub_poly, phi) + _log_root_error(sup_poly, phi_sup)
+    if not gap > _GAP_MARGIN * err:
+        # p below is about 1/gap, so a gap at rounding level makes it noise
         raise ValueError(
-            f"growth rates of {pair.sub} and {pair.sup} are not separated in double precision"
+            f"growth rates of {pair.sub} and {pair.sup} are not separated in double precision "
+            f"(log gap {gap:.3g}, error bound {err:.3g})"
         )
     # least p >= 1 with gamma * omega_sup**(p-1) < omega**p, taken in log space:
     # both powers underflow to 0.0 long before p reaches its value on

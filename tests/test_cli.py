@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -5,6 +6,8 @@ import time
 import pytest
 
 from zeckdual import cli
+
+from conftest import PAIR_RULES
 
 BINARY = ["--sub", "1,0", "--super", "1,1"]
 
@@ -240,3 +243,20 @@ def test_float_digit_env(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["gamma"] == pytest.approx(0.6942, abs=5e-5)
     assert abs(payload["gamma"] - 0.6942419136) > 1e-8  # actually truncated
+
+
+# sha256 of ``scan --from 1 --to 3000 --step 7`` stdout, recorded with the
+# digit-matrix column sweep that the rank-table kernel replaced
+SCAN_GOLDEN = {
+    "binary": "4e80e41356d006fafa4a6a4dedb6d4717d8a4a7c42a762c9ab07d984d38b478b",
+    "third": "3837598b5e1791b98bf940c91f535a0e3a907ad6be434acde1eff3a752301999",
+    "nonbase": "ee9f0537287ccd9448c1bac985aed6c3a5af6a84c5cd7e450d609b61ea8d9775",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_GOLDEN))
+def test_scan_golden_output(capsys, name):
+    sub, sup = (",".join(map(str, r)) for r in PAIR_RULES[name])
+    code, out, _ = run(capsys, ["scan", "--sub", sub, "--super", sup, "--from", "1", "--to", "3000", "--step", "7"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN[name]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from zeckdual import SystemPair, is_member
+from zeckdual import DigitRule, SystemPair, is_member
 from zeckdual import _kernels
+from zeckdual.duality import is_subcollection, same_collection
 
 from conftest import PAIR_RULES
 
@@ -134,3 +137,64 @@ def test_clipping_sup_rule():
 
 def test_kernels_enabled_reports_dispatch():
     assert _kernels.kernels_enabled() is False
+
+
+SPLIT_PAIRS = sorted(PAIR_RULES.values()) + [((2, 0, 0), (2, 3, 0)), ((1, 1, 0), (1, 1))]
+
+
+@pytest.mark.parametrize("sub,sup", SPLIT_PAIRS)
+def test_walk_every_split(sub, sup):
+    """Every split point, from the full sweep (s=0) to a pure rank table (s=m), gives the scalar answers."""
+    pair = SystemPair(sub, sup)
+    xs = np.array(list(range(1, 700)) + SCATTERED + [31337, 65536, 77777], dtype=np.int64)
+    sup_w, sup_caps, caps, sub_w = pair._int64_tables(int(xs.max()))
+    counts = [pair.count_expressible(int(x)) for x in xs]
+    member = [is_member(pair.sub, pair.sup_num.encode(int(x))) for x in xs]
+    for s in range(len(sup_w) + 1):
+        z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, s)
+        assert z.tolist() == counts, s
+        assert flags.tolist() == member, s
+        no_counts, flags = _kernels._walk(xs, sup_w, sup_caps, caps, None, s)
+        assert no_counts is None
+        assert flags.tolist() == member, s
+
+
+@pytest.mark.parametrize("sub,sup", SPLIT_PAIRS)
+def test_split_tables_stay_in_budget(sub, sup):
+    pair = SystemPair(sub, sup)
+    for max_x in [10**3, 10**7, 2**61]:
+        sup_w, _, caps, _ = pair._int64_tables(max_x)
+        m = len(sup_w)
+        for rows in [1, 2, 7, 100, 10000]:
+            budget = 16 * rows
+            s = _kernels._split_index(m, caps, rows)
+            assert 0 <= s <= m
+            size = sum(len(t) for t in _kernels._rank_tables(sup_w, caps, s))
+            assert size <= budget or s == 0
+            if s < m:  # the split is the largest one that fits
+                assert sum(len(t) for t in _kernels._rank_tables(sup_w, caps, s + 1)) > budget
+
+
+def _rules(draw):
+    period = draw(st.integers(2, 3))
+    first = draw(st.integers(1, 3))
+    return (first,) + tuple(draw(st.integers(0, 3)) for _ in range(period - 1))
+
+
+@st.composite
+def nested_pairs(draw):
+    sub, sup = DigitRule(_rules(draw)), DigitRule(_rules(draw))
+    assume(is_subcollection(sub, sup) and not same_collection(sub, sup))
+    return SystemPair(sub, sup)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=nested_pairs(), xs=st.lists(st.integers(1, 4000), min_size=1, max_size=40), data=st.data())
+def test_walk_matches_scalar_on_random_pairs(pair, xs, data):
+    xs = np.array(xs, dtype=np.int64)
+    sup_w, sup_caps, caps, sub_w = pair._int64_tables(int(xs.max()))
+    s = data.draw(st.integers(0, len(sup_w)), label="s")
+    z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, s)
+    assert z.tolist() == [pair.count_expressible(int(x)) for x in xs]
+    assert flags.tolist() == [is_member(pair.sub, pair.sup_num.encode(int(x))) for x in xs]
+    assert pair.counts_at(xs).tolist() == z.tolist()

@@ -1,8 +1,9 @@
+import json
 import math
 
 import pytest
 
-from zeckdual import DigitRule, Numeration, SystemPair
+from zeckdual import DigitRule, Numeration, SystemPair, cli
 from zeckdual.spectra import (
     NoSignChangeError,
     char_poly,
@@ -162,6 +163,43 @@ def test_gain_index_refuses_unresolved_growth_rates():
     pair = SystemPair((9,) * 17 + (8,), (9, 9))
     with pytest.raises(ValueError, match="not separated in double precision"):
         derived_constants(pair)
+
+
+def test_gain_index_refuses_gap_at_rounding_level(capsys):
+    # the roots differ as doubles, but their log gap (9.3e-15) is within a
+    # few error bounds of zero, so p would be noise (it printed 246902889685639)
+    sub = ",".join(["9"] * 13 + ["8"])
+    assert cli.main(["info", "--sub", sub, "--super", "9,9"]) == 2
+    assert "not separated in double precision" in capsys.readouterr().err
+    assert cli.main(["info", "--sub", "9,9,9,8", "--super", "9,9", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["p"] == 25574
+
+
+# (phi, phi_sup, omega, omega_sup, gamma, alpha, alpha_sup, rho, p, p_star, p_dagger)
+ENVELOPE_CONSTANTS = {
+    ((1, 0), (1, 1)): (1.618033988749895, 2.0, 0.6180339887498948, 0.5, 0.6942419136306174,
+                       1.1708203932499368, 1.0, 0.6666666666666666, 2, 4.997907090050566, 2),
+    ((1, 1, 0), (2, 2, 2)): (1.8392867552141612, 3.0, 0.5436890126920764, 0.3333333333333333,
+                             0.5546796351375048, 1.137451572282629, 1.0, 0.4615384615384615, 2,
+                             5.607369797491618, 2),
+    ((2, 0, 1), (10, 4)): (2.359304085971776, 10.47722557505166, 0.4238537990697833,
+                           0.09544511501033223, 0.3653862032027065, 1.2291311668526554,
+                           1.0477225575051663, 0.1919265899796238, 1, 3.5850644975484567, 2),
+    ((1, 1, 0), (1, 1)): (1.8392867552141612, 2.0, 0.5436890126920764, 0.5, 0.8791464216066384,
+                          1.137451572282629, 1.0, 0.8571428571428571, 7, 14.098081233243075, 7),
+    ((2, 2), (3, 3)): (3.0, 4.0, 0.3333333333333333, 0.25, 0.7924812503605781, 1.0, 1.0,
+                       0.6666666666666666, 5, 10.416203396920796, 5),
+    ((2, 0), (2, 1)): (2.414213562373095, 2.732050807568877, 0.4142135623730951,
+                       0.36602540378443865, 0.8769427995499647, 1.2071067811865477,
+                       1.0773502691896257, 0.8452994616207485, 8, 13.20680998583375, 8),
+}
+
+
+@pytest.mark.parametrize("sub,sup", list(ENVELOPE_CONSTANTS))
+def test_envelope_constants_pass_gap_check(sub, sup):
+    """The six envelope pairs keep every constant, bit for bit."""
+    got = tuple(derived_constants(SystemPair(sub, sup)).as_dict().values())
+    assert got == ENVELOPE_CONSTANTS[(sub, sup)]
 
 
 @pytest.mark.parametrize("name", ["binary", "third", "nonbase"])
