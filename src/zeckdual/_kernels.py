@@ -1,9 +1,9 @@
-"""Batch int64 kernels for range scans.
+"""Batch kernels for range scans.
 
 Every row is one input value; the loops run over weight indices with all
-rows advanced together.  Exact big-int arithmetic lives in
-``numeration``/``duality``; these kernels only handle values that fit
-comfortably in int64 (callers check).
+rows advanced together.  Values (inputs, weights, counts, rank tables) take
+the dtype of the weights passed in, int64 or object (Python ints, exact at any
+size, for callers past int64); positions, offsets, caps and digits stay int64.
 
 There is one walk.  ``_capped_columns`` peels the capped digits off the
 top: the floor quotient at each weight, clipped to the extraction-pattern
@@ -63,8 +63,8 @@ def _capped_columns(rem, weights, caps, stop):
 
 def digit_matrix(xs, weights, caps):
     """Member digits of each x over ``weights``/``caps``; column k is index k+1."""
-    rem = np.array(xs, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.int64)
+    weights = np.asarray(weights)
+    rem = np.array(xs, dtype=weights.dtype)
     caps = np.asarray(caps, dtype=np.int64)
     out = np.empty((len(rem), len(weights)), dtype=np.int64)
     for k, d in _capped_columns(rem, weights, caps, 0):
@@ -102,12 +102,12 @@ def _rank_tables(sup_w, caps, s):
     """
     caps = [int(c) for c in caps]
     N = len(caps)
-    tables = [np.zeros(1, dtype=np.int64)] * N
+    tables = [np.zeros(1, dtype=sup_w.dtype)] * N
     for k in range(s):
         w = sup_w[k]
         fresh = tables[0]
         tables = [
-            np.concatenate(((np.arange(c, dtype=np.int64)[:, None] * w + fresh).ravel(),
+            np.concatenate(((np.arange(c, dtype=sup_w.dtype)[:, None] * w + fresh).ravel(),
                             tables[(o + 1) % N] + c * w))
             for o, c in enumerate(caps)
         ]
@@ -121,20 +121,20 @@ def _walk(xs, sup_w, sup_caps, caps, sub_w, s):
     whether x itself is expressible.  ``counts`` is None when ``sub_w`` is
     None.  Any ``0 <= s <= len(sup_w)`` gives the same answer.
     """
-    sup_w = np.asarray(sup_w, dtype=np.int64)
+    sup_w = np.asarray(sup_w)
     sup_caps = np.asarray(sup_caps, dtype=np.int64)
     caps = np.asarray(caps, dtype=np.int64)
-    r = np.array(xs, dtype=np.int64)
+    r = np.array(xs, dtype=sup_w.dtype)
     n = len(r)
     N = len(caps)
     count = sub_w is not None
     if count:
-        sub_w = np.asarray(sub_w, dtype=np.int64)
+        sub_w = np.asarray(sub_w, dtype=sup_w.dtype)
     alive = np.ones(n, dtype=bool)
     pos = np.zeros(n, dtype=np.int64)  # offset inside the open sub block
-    z = np.zeros(n, dtype=np.int64)
-    done = np.zeros(n, dtype=np.int64)  # value of closed blocks, sub weights
-    cur = np.zeros(n, dtype=np.int64)  # value of the open block so far
+    z = np.zeros(n, dtype=sup_w.dtype)
+    done = np.zeros(n, dtype=sup_w.dtype)  # value of closed blocks, sub weights
+    cur = np.zeros(n, dtype=sup_w.dtype)  # value of the open block so far
     for k, d in _capped_columns(r, sup_w, sup_caps, s):
         cap = caps[pos % N]
         over = alive & (d > cap)

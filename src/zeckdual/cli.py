@@ -40,9 +40,9 @@ def _float_digits() -> int:
     return 12
 
 
-def fmt(x: float) -> str:
+def fmt(x: float, digits: int) -> str:
     """Fixed significant-digit float formatting (lowercase exponent)."""
-    return f"{x:.{_float_digits()}g}"
+    return f"{x:.{digits}g}"
 
 
 def _parse_rule(text: str) -> DigitRule:
@@ -80,9 +80,9 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _rounded(v):
+def _rounded(v, digits):
     if isinstance(v, float):
-        return float(fmt(v))
+        return float(fmt(v, digits))
     return v
 
 
@@ -90,10 +90,11 @@ def cmd_info(args) -> int:
     pair = _make_pair(args)
     consts = derived_constants(pair)
     d = consts.as_dict()
+    digits = args.float_digits
     if not args.json:
         for k, v in d.items():
-            print(f"{k}={fmt(v) if isinstance(v, float) else v}")
-    print(json.dumps({k: _rounded(v) for k, v in d.items()}))
+            print(f"{k}={fmt(v, digits) if isinstance(v, float) else v}")
+    print(json.dumps({k: _rounded(v, digits) for k, v in d.items()}))
     return 0
 
 
@@ -103,30 +104,31 @@ def cmd_extremes(args) -> int:
     report = extremes(pair, consts)
     scale = consts.alpha / consts.alpha_sup**consts.gamma
     rows = sorted(report.all_candidates, key=lambda cv: (-cv[1], cv[0].serialize()))
+    digits = args.float_digits
     if args.json:
         payload = {
             "candidates": [
-                {"candidate": c.serialize(), "delta_star": _rounded(v), "scaled": _rounded(scale * v)}
+                {"candidate": c.serialize(), "delta_star": _rounded(v, digits), "scaled": _rounded(scale * v, digits)}
                 for c, v in rows
             ],
             "max_candidate": report.max_candidate.serialize(),
             "min_candidate": report.min_candidate.serialize(),
-            "delta_max": _rounded(report.delta_max),
-            "delta_min": _rounded(report.delta_min),
-            "limsup": _rounded(report.limsup),
-            "liminf": _rounded(report.liminf),
+            "delta_max": _rounded(report.delta_max, digits),
+            "delta_min": _rounded(report.delta_min, digits),
+            "limsup": _rounded(report.limsup, digits),
+            "liminf": _rounded(report.liminf, digits),
         }
         print(json.dumps(payload))
         return 0
     print("candidate,delta_star,scaled")
     for c, v in rows:
-        print(f"{c.serialize()},{fmt(v)},{fmt(scale * v)}")
+        print(f"{c.serialize()},{fmt(v, digits)},{fmt(scale * v, digits)}")
     print(f"max_candidate={report.max_candidate.serialize()}")
     print(f"min_candidate={report.min_candidate.serialize()}")
-    print(f"delta_max={fmt(report.delta_max)}")
-    print(f"delta_min={fmt(report.delta_min)}")
-    print(f"limsup={fmt(report.limsup)}")
-    print(f"liminf={fmt(report.liminf)}")
+    print(f"delta_max={fmt(report.delta_max, digits)}")
+    print(f"delta_min={fmt(report.delta_min, digits)}")
+    print(f"limsup={fmt(report.limsup, digits)}")
+    print(f"liminf={fmt(report.liminf, digits)}")
     return 0
 
 
@@ -137,6 +139,7 @@ def cmd_scan(args) -> int:
         print(f"error: need 1 <= from < to and step >= 1, got [{lo}, {hi}) step {step}", file=sys.stderr)
         return 2
     gamma = derived_constants(pair).gamma
+    digits = args.float_digits
     out = sys.stdout
     out.write("x,z,ratio\n")
     chunk = 1 << 16
@@ -146,13 +149,16 @@ def cmd_scan(args) -> int:
         xs = list(range(x, top, step))
         zs = pair.counts_at(xs)
         for xi, zi in zip(xs, zs):
-            ratio = float(zi) / float(xi) ** gamma
-            out.write(f"{xi},{int(zi)},{fmt(ratio)}\n")
+            try:
+                ratio = float(zi) / float(xi) ** gamma
+            except OverflowError:  # x past the float range; math.log takes any int
+                ratio = math.exp(math.log(zi) - gamma * math.log(xi))
+            out.write(f"{xi},{int(zi)},{fmt(ratio, digits)}\n")
         x = top
     return 0
 
 
-def _stats_emit(ratios_min, ratios_max, counts, total) -> None:
+def _stats_emit(ratios_min, ratios_max, counts, total, digits) -> None:
     bins = len(counts)
     width = (ratios_max - ratios_min) / bins
     cum = 0
@@ -161,7 +167,7 @@ def _stats_emit(ratios_min, ratios_max, counts, total) -> None:
         cum += c
         lo = ratios_min + i * width
         hi = ratios_min + (i + 1) * width
-        print(f"{fmt(lo)},{fmt(hi)},{c},{fmt(cum / total)}")
+        print(f"{fmt(lo, digits)},{fmt(hi, digits)},{c},{fmt(cum / total, digits)}")
 
 
 def _iter_ratios(handle):
@@ -218,7 +224,7 @@ def cmd_stats(args) -> int:
         with open(args.csvfile) as fh:
             for r in _iter_ratios(fh):
                 tally(r)
-    _stats_emit(rmin, rmax, counts, total)
+    _stats_emit(rmin, rmax, counts, total, args.float_digits)
     return 0
 
 
@@ -293,17 +299,13 @@ def cmd_verify(args) -> int:
 
     consts = derived_constants(pair)
     m = measure_check(pair, consts, 200) + measure_tail_bound(consts, 200)
-    report("measure", abs(m - 1.0) < 1e-6, f"partial+tail={fmt(m)}")
+    report("measure", abs(m - 1.0) < 1e-6, f"partial+tail={fmt(m, args.float_digits)}")
 
-    for label, rule in (("sub", pair.sub), ("super", pair.sup)):
-        from .spectra import char_poly, dominant_root
-
-        root = dominant_root(char_poly(rule))
-        w = 1.0 / root
+    for label, rule, w in (("sub", pair.sub, consts.omega), ("super", pair.sup, consts.omega_sup)):
         ent = rule.entries
         N = len(ent)
         norm = sum(e * w**k for k, e in enumerate(ent, start=1)) / (1.0 - w**N)
-        report(f"normalization_{label}", abs(norm - 1.0) < 1e-10, f"value={fmt(norm)}")
+        report(f"normalization_{label}", abs(norm - 1.0) < 1e-10, f"value={fmt(norm, args.float_digits)}")
 
     return 0 if ok else 1
 
@@ -355,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.float_digits = _float_digits()  # read once: the environment lookup is slow per row
     try:
         return args.func(args)
     except SubcollectionError as e:

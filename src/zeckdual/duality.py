@@ -12,6 +12,7 @@ that; ``count_expressible_brute`` is the literal scan it must agree with.
 from __future__ import annotations
 
 import math
+import operator
 
 from .digits import (
     DigitRule,
@@ -106,51 +107,53 @@ class SystemPair:
             1 for n in range(x) if is_member(self.sub, self.sup_num.encode(n))
         )
 
-    # -- batch helpers (int64 fast path with exact fallback) ----------------
+    # -- batch helpers: one kernel call at every magnitude ------------------
 
-    def _int64_tables(self, max_x: int):
-        """(sup_weights, sup_caps, sub_caps, sub_weights) int64 arrays, or None.
+    def _tables(self, max_x: int):
+        """(sup_weights, sup_caps, sub_caps, sub_weights) arrays for values up to max_x.
 
         sub weights go one index beyond the sup table because the rounding
-        step can carry into a fresh top position.  None means the values do
-        not fit int64 and the caller must take the exact path.
+        step can carry into a fresh top position.  The weights are int64
+        while max_x and both tables stay clear of int64 overflow, and
+        object (Python ints) past that line; the caps are always int64.
         """
         import numpy as np
 
-        if max_x >= 1 << 62:
-            return None
         m = self.sup_num.top_index(max_x)
         ws = self.sup_num.weights(m)
         wsub = self.sub_num.weights(m + 1)
-        if wsub[-1] >= 1 << 63 or ws[-1] >= 1 << 63:
-            return None
+        dt = np.int64 if max_x < 1 << 62 and wsub[-1] < 1 << 63 else object  # ws[-1] <= max_x
         return (
-            np.array(ws, dtype=np.int64),
+            np.array(ws, dtype=dt),
             np.array(self.sup.entries, dtype=np.int64),
             np.array(self.sub.entries, dtype=np.int64),
-            np.array(wsub, dtype=np.int64),
+            np.array(wsub, dtype=dt),
         )
 
     def counts_at(self, xs):
-        """``count_expressible`` for every x in xs (array-like of ints >= 1)."""
+        """``count_expressible`` for every x in xs (ints >= 1, or an integer ndarray).
+
+        int64 below 2**62, Python ints above; a call has a fixed setup cost, so use
+        ``count_expressible`` for a single x."""
         import numpy as np
 
         from . import _kernels
 
         if iter(xs) is xs:  # a one-shot iterator has no length; read it once
             xs = list(xs)
+        if isinstance(xs, np.ndarray):
+            if xs.dtype.kind not in "iuO":
+                raise TypeError(f"counts_at needs integers, got dtype {xs.dtype}")
+            xs = xs if np.can_cast(xs.dtype, np.int64) else xs.tolist()  # uint64 would wrap
         try:
             arr = np.asarray(xs, dtype=np.int64)
         except OverflowError:
-            arr = np.array([int(x) for x in xs], dtype=object)
+            arr = np.array([operator.index(x) for x in xs], dtype=object)
         if not len(arr):
             return np.zeros(0, dtype=np.int64)
         if arr.min() < 1:
             raise ValueError("count needs x >= 1")
-        tables = self._int64_tables(int(arr.max()))
-        if tables is None:
-            return np.array([self.count_expressible(int(x)) for x in arr], dtype=object)
-        sup_w, sup_caps, caps, sub_w = tables
+        sup_w, sup_caps, caps, sub_w = self._tables(int(arr.max()))
         return _kernels.dual_counts(arr, sup_w, sup_caps, caps, sub_w)
 
     def expressible_mask(self, lo: int, hi: int):
@@ -159,15 +162,11 @@ class SystemPair:
 
         from . import _kernels
 
+        lo, hi = operator.index(lo), operator.index(hi)
         if lo < 0 or hi < lo:
             raise ValueError(f"bad range [{lo}, {hi})")
         if hi == lo:
             return np.zeros(0, dtype=bool)
-        tables = self._int64_tables(max(hi - 1, 1))
-        if tables is None:
-            return np.array(
-                [is_member(self.sub, self.sup_num.encode(n)) for n in range(lo, hi)]
-            )
-        sup_w, sup_caps, caps, _ = tables
-        ns = np.arange(lo, hi, dtype=np.int64)
+        sup_w, sup_caps, caps, _ = self._tables(max(hi - 1, 1))
+        ns = np.arange(lo, hi, dtype=sup_w.dtype)
         return _kernels.member_flags(ns, sup_w, sup_caps, caps)

@@ -8,6 +8,7 @@ here is exact (Python ints); the int64 fast paths live in ``_kernels``.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 
 from .digits import DigitRule, DigitVector, basis_predecessor, decompose, is_member, NotMemberError
@@ -79,6 +80,7 @@ class Numeration:
         Clipping to the cap and tracking the pattern offset yields the
         member vector; the closing check is pure paranoia.
         """
+        n = operator.index(n)
         if n < 0:
             raise ValueError(f"cannot encode negative value {n}")
         if n == 0:

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from zeckdual import cli
+from zeckdual.extremal import extremes
 
 from conftest import PAIR_RULES
 
@@ -260,3 +261,41 @@ def test_scan_golden_output(capsys, name):
     code, out, _ = run(capsys, ["scan", "--sub", sub, "--super", sup, "--from", "1", "--to", "3000", "--step", "7"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN[name]
+
+
+def test_scan_past_float_range(capsys, pairs, constants):
+    """Rows with x beyond the largest double take the ratio in log space."""
+    lo = 10**309
+    code, out, _ = run(capsys, ["scan", *BINARY, "--from", str(lo), "--to", str(lo + 3)])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "x,z,ratio" and len(lines) == 4
+    pair = pairs["binary"]
+    report = extremes(pair, constants["binary"])
+    for i, line in enumerate(lines[1:]):
+        x, z, ratio = line.split(",")
+        assert int(x) == lo + i
+        assert int(z) == pair.count_expressible(lo + i)
+        assert report.liminf <= float(ratio) <= report.limsup
+
+
+# ``verify`` stdout of the binary pair at 17 digits, recorded when the
+# normalization checks still re-solved both dominant roots themselves
+VERIFY_BINARY_17 = """\
+subcollection: ok
+duality_vs_brute: ok (x=1..300)
+exact_spotchecks: ok (50 samples)
+roundtrip_sub: ok (n=0..300)
+roundtrip_super: ok (n=0..300)
+generating_identity: ok (degree 50)
+measure: ok (partial+tail=0.99999999999999922)
+normalization_sub: ok (value=0.99999999999999978)
+normalization_super: ok (value=1)
+"""
+
+
+def test_verify_output_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("ZECK_FLOAT_DIGITS", "17")
+    code, out, _ = run(capsys, ["verify", *BINARY, "--max-x", "300"])
+    assert code == 0
+    assert out == VERIFY_BINARY_17

@@ -22,8 +22,8 @@ def pair(request):
 def test_digit_matrix_reassembles(pair):
     rng = np.random.default_rng(7)
     xs = np.concatenate([rng.integers(0, 10**6, size=300), [0, 1, 10**6]])
-    tables = pair._int64_tables(int(xs.max()))
-    assert tables is not None
+    tables = pair._tables(int(xs.max()))
+    assert tables[0].dtype == np.int64
     sup_w, sup_caps, _, _ = tables
     digits = _kernels.digit_matrix(xs, sup_w, sup_caps)
     assert (digits >= 0).all()
@@ -38,7 +38,7 @@ def test_digit_matrix_reassembles(pair):
 def test_kernels_match_exact(pair):
     xs = np.array(SCATTERED, dtype=np.int64)
     ns = np.arange(0, 3000, dtype=np.int64)
-    sup_w, sup_caps, caps, sub_w = pair._int64_tables(100000)
+    sup_w, sup_caps, caps, sub_w = pair._tables(100000)
     flags_np = _kernels.member_flags(ns, sup_w, sup_caps, caps)
     counts_np = _kernels.dual_counts(xs, sup_w, sup_caps, caps, sub_w)
     # the numpy path must match the exact object-level routines
@@ -52,7 +52,7 @@ def test_scan_top_is_irrelevant(pair):
     """Padding the weight table with extra top indices changes nothing."""
     ns = np.arange(0, 2000, dtype=np.int64)
     xs = np.array(SCATTERED, dtype=np.int64)
-    sup_w, sup_caps, caps, sub_w = pair._int64_tables(100000)
+    sup_w, sup_caps, caps, sub_w = pair._tables(100000)
     m = len(sup_w)
     sup_w_big = np.array(pair.sup_num.weights(m + 3), dtype=np.int64)
     sub_w_big = np.array(pair.sub_num.weights(m + 4), dtype=np.int64)
@@ -101,8 +101,9 @@ def test_empty_and_bad_inputs(pair):
 
 
 def test_bigint_fallback(pair):
-    """Values past the int64-safe line go through the exact path."""
-    assert pair._int64_tables(1 << 62) is None
+    """Values past the int64-safe line run the same walk on Python ints."""
+    assert pair._tables(1 << 62)[0].dtype == object
+    assert pair._tables((1 << 62) - 1)[0].dtype == np.int64
     xs = [10, 12345, (1 << 70) + 3]
     out = pair.counts_at(xs)
     assert out.dtype == object
@@ -120,6 +121,35 @@ def test_bigint_fallback(pair):
     assert mask.tolist() == pure
 
 
+def test_counts_at_uint64_is_exact():
+    """uint64 values past int64 are counted exactly, not wrapped to negatives."""
+    binary = SystemPair(*PAIR_RULES["binary"])
+    out = binary.counts_at(np.array([2**63 + 5], dtype=np.uint64))
+    assert out.tolist() == [17167680177569] == [binary.count_expressible(2**63 + 5)]
+
+
+def test_float_arrays_are_refused(pair):
+    with pytest.raises(TypeError):
+        pair.counts_at(np.array([2.7]))
+    with pytest.raises(TypeError):
+        pair.expressible_mask(np.array(2.0), 5)
+    with pytest.raises(TypeError):
+        pair.expressible_mask(2, np.float64(5.0))
+
+
+def test_scalar_floats_are_refused(pair):
+    for call in (pair.count_expressible, pair.count_expressible_brute, pair.sup_num.encode):
+        with pytest.raises(TypeError):
+            call(2.7)
+
+
+def test_numpy_integer_scalars_are_accepted():
+    binary = SystemPair(*PAIR_RULES["binary"])
+    assert binary.count_expressible(np.int64(100)) == 34
+    assert binary.count_expressible_brute(np.int64(100)) == 34
+    assert binary.counts_at(np.array([100], dtype=np.uint8)).tolist() == [34]
+
+
 def test_clipping_sup_rule():
     """Extraction must clip quotients to the sup caps, not floor-divide blindly."""
     clip = SystemPair((2, 0, 0), (2, 3, 0))
@@ -130,7 +160,7 @@ def test_clipping_sup_rule():
     assert mask.tolist() == [
         is_member(clip.sub, clip.sup_num.encode(n)) for n in range(1200)
     ]
-    sup_w, sup_caps, _, _ = clip._int64_tables(99999)
+    sup_w, sup_caps, _, _ = clip._tables(99999)
     row = _kernels.digit_matrix(np.array([9], dtype=np.int64), sup_w, sup_caps)[0]
     assert row[:3].tolist() == [3, 2, 0]
 
@@ -147,7 +177,7 @@ def test_walk_every_split(sub, sup):
     """Every split point, from the full sweep (s=0) to a pure rank table (s=m), gives the scalar answers."""
     pair = SystemPair(sub, sup)
     xs = np.array(list(range(1, 700)) + SCATTERED + [31337, 65536, 77777], dtype=np.int64)
-    sup_w, sup_caps, caps, sub_w = pair._int64_tables(int(xs.max()))
+    sup_w, sup_caps, caps, sub_w = pair._tables(int(xs.max()))
     counts = [pair.count_expressible(int(x)) for x in xs]
     member = [is_member(pair.sub, pair.sup_num.encode(int(x))) for x in xs]
     for s in range(len(sup_w) + 1):
@@ -159,11 +189,34 @@ def test_walk_every_split(sub, sup):
         assert flags.tolist() == member, s
 
 
+HUGE = [2**62 - 1, 2**62, 2**63 - 1, 2**63, 2**64 + 1, 10**40, 10**300]
+
+
+@pytest.mark.parametrize("sub,sup", SPLIT_PAIRS)
+def test_object_walk_every_split(sub, sup):
+    """Past int64 the walk runs on Python ints and still gives the scalar answers at every split."""
+    pair = SystemPair(sub, sup)
+    # the sup value of a sub member is expressible, so its rows reach the rank lookup
+    deep = pair.sup_num.decode(pair.sub_num.encode(10**40))
+    mixed = [1, 2, 3, 100, 4096, 2**62 + 7, pair.sup_num.weight(150) - 1, deep, deep + 1, 10**30 + 1, 5]
+    for xs in (HUGE, mixed):
+        sup_w, sup_caps, caps, sub_w = pair._tables(max(xs))
+        assert sup_w.dtype == sub_w.dtype == object
+        assert (_kernels.digit_matrix(xs, sup_w, sup_caps) @ sup_w).tolist() == xs
+        counts = [pair.count_expressible(x) for x in xs]
+        member = [is_member(pair.sub, pair.sup_num.encode(x)) for x in xs]
+        for s in range(_kernels._split_index(len(sup_w), caps, len(xs)) + 1):
+            z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, s)
+            assert z.tolist() == counts, s
+            assert flags.tolist() == member, s
+        assert pair.counts_at(xs).tolist() == counts
+
+
 @pytest.mark.parametrize("sub,sup", SPLIT_PAIRS)
 def test_split_tables_stay_in_budget(sub, sup):
     pair = SystemPair(sub, sup)
     for max_x in [10**3, 10**7, 2**61]:
-        sup_w, _, caps, _ = pair._int64_tables(max_x)
+        sup_w, _, caps, _ = pair._tables(max_x)
         m = len(sup_w)
         for rows in [1, 2, 7, 100, 10000]:
             budget = 16 * rows
@@ -192,9 +245,28 @@ def nested_pairs(draw):
 @given(pair=nested_pairs(), xs=st.lists(st.integers(1, 4000), min_size=1, max_size=40), data=st.data())
 def test_walk_matches_scalar_on_random_pairs(pair, xs, data):
     xs = np.array(xs, dtype=np.int64)
-    sup_w, sup_caps, caps, sub_w = pair._int64_tables(int(xs.max()))
+    sup_w, sup_caps, caps, sub_w = pair._tables(int(xs.max()))
     s = data.draw(st.integers(0, len(sup_w)), label="s")
     z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, s)
     assert z.tolist() == [pair.count_expressible(int(x)) for x in xs]
     assert flags.tolist() == [is_member(pair.sub, pair.sup_num.encode(int(x))) for x in xs]
+    assert pair.counts_at(xs).tolist() == z.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=nested_pairs(),
+    xs=st.lists(st.integers(1 << 62, 1 << 130), min_size=1, max_size=8),
+    ys=st.lists(st.integers(1 << 62, 1 << 100), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_object_walk_matches_scalar_on_random_pairs(pair, xs, ys, data):
+    # sup values of sub members are expressible, so the flags see both answers
+    xs = xs + [pair.sup_num.decode(pair.sub_num.encode(y)) for y in ys]
+    sup_w, sup_caps, caps, sub_w = pair._tables(max(xs))
+    s = data.draw(st.integers(0, _kernels._split_index(len(sup_w), caps, len(xs))), label="s")
+    z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, s)
+    assert z.tolist() == [pair.count_expressible(x) for x in xs]
+    assert flags.tolist() == [is_member(pair.sub, pair.sup_num.encode(x)) for x in xs]
+    assert flags[-len(ys):].all()
     assert pair.counts_at(xs).tolist() == z.tolist()
