@@ -277,8 +277,10 @@ def cmd_verify(args) -> int:
     rng = random.Random(20260822)
     spots = sorted(rng.sample(range(1, max_x + 1), min(max_x, 50)))
     bad = next((x for x in spots if pair.count_expressible(x) != running[x]), None)
-    if bad is None and pair.count_expressible_brute(spots[-1]) != running[spots[-1]]:
-        bad = spots[-1]
+    # the brute count rescans [0, x), which running already holds; the
+    # smallest spot keeps it exercised at the least cost
+    if bad is None and pair.count_expressible_brute(spots[0]) != running[spots[0]]:
+        bad = spots[0]
     report("exact_spotchecks", bad is None, f"x={bad}" if bad is not None else f"{len(spots)} samples")
 
     for label, num in (("sub", pair.sub_num), ("super", pair.sup_num)):
@@ -356,9 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args.float_digits = _float_digits()  # read once: the environment lookup is slow per row
+    # Lift Python's limit on int/str conversion (3.10.7 and later) for this
+    # command, so arguments and results of any length parse and print.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
+        args.float_digits = _float_digits()  # read once: the environment lookup is slow per row
         return args.func(args)
     except SubcollectionError as e:
         if args.command == "verify":
@@ -369,6 +376,9 @@ def main(argv=None) -> int:
     except (RuleError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

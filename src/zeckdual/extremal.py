@@ -3,10 +3,11 @@
 On the real side of the correspondence, digit strings read bottom-up tile
 an initial segment of the indices with blocks following the same cyclic
 caps.  The ratio functional evaluated on such strings attains its extremes
-on a finite candidate list: strings with an all-caps tail (bounded tail
-position) for the maximum, and finite strings with tiny support for the
-minimum.  Scaling the extreme values by alpha / alpha_sup**gamma turns
-them into the lim sup / lim inf of count(x) / x**gamma.
+on a finite candidate list, read off one bottom-up walk of those strings:
+strings whose blocks have all closed, followed by an all-caps tail (bounded
+tail position), and finite strings of one short length.  Scaling the extreme
+values by alpha / alpha_sup**gamma turns them into the lim sup / lim inf of
+count(x) / x**gamma.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .duality import SystemPair
 from .spectra import SpectralConstants, derived_constants
 
 
-# extremes() refuses pairs that would generate more candidate strings than
-# this; (2,0) in (2,1), among the largest that finish in seconds, generates 116,430
+# extremes() refuses pairs whose candidate bound exceeds this; (2,0) in (2,1),
+# among the largest that finish in seconds, has a bound of 116,430
 MAX_CANDIDATES = 10**6
 
 
@@ -123,6 +124,10 @@ def delta_star(pair: SystemPair, cand: StarCandidate, consts: SpectralConstants)
     rho * omega_sup**b; the result is numerator / base**gamma.
     """
     validate_candidate(pair.sub, cand)
+    return _ratio(cand, consts)
+
+
+def _ratio(cand: StarCandidate, consts: SpectralConstants) -> float:
     num = 0.0
     den = 0.0
     for k, v in cand.prefix.items():
@@ -166,27 +171,31 @@ def tiling_counts(rule: DigitRule, n_max: int) -> list[int]:
     return list(islice(_tiling_count_seq(rule), n_max + 1))
 
 
-def enumerate_tilings(rule: DigitRule, n: int):
-    """Yield every digit dict whose bottom-up blocks tile [1, n] exactly."""
+def _block_strings(rule: DigitRule, depth: int):
+    """Yield ``(digits, pos)`` for each string on [1, n], n = 0..depth, whose
+    bottom-up block reading never goes over a cap; ``digits[i]`` sits at i + 1.
+
+    ``pos`` is the place of the next index in the open block, 0 once every
+    block has closed.  It is not reduced mod N: under (1,0) the block of
+    ``1:1`` is still open at [1, 2].
+    """
     ent = rule.entries
     N = len(ent)
+    stack = [((), 0)]
+    while stack:
+        digits, pos = stack.pop()
+        yield digits, pos
+        if len(digits) < depth:
+            cap = ent[pos % N]
+            stack.extend((digits + (d,), 0) for d in range(cap))
+            stack.append((digits + (cap,), pos + 1))
 
-    def rec(lo, hi):
-        if lo > hi:
-            yield {}
-            return
-        for top in range(lo, hi + 1):
-            cap = ent[(top - lo) % N]
-            base = {lo + t: ent[t % N] for t in range(top - lo) if ent[t % N]}
-            for v in range(cap):
-                for rest in rec(top + 1, hi):
-                    d = dict(base)
-                    if v:
-                        d[top] = v
-                    d.update(rest)
-                    yield d
 
-    yield from rec(1, n)
+def enumerate_tilings(rule: DigitRule, n: int):
+    """Yield every digit dict whose bottom-up blocks tile [1, n] exactly."""
+    for digits, pos in _block_strings(rule, n):
+        if len(digits) == n and pos == 0:
+            yield {i: d for i, d in enumerate(digits, 1) if d}
 
 
 def generating_identity_check(rule: DigitRule, degree: int) -> bool:
@@ -249,9 +258,9 @@ def extremes(pair: SystemPair, consts: SpectralConstants | None = None) -> Extre
     """Evaluate the ratio functional on the full finite candidate list.
 
     Tail candidates: tail position up to ceil(max(2, p_star)), prefix any
-    exact tiling below it with first digit >= 1 (the pure tail included).
-    Finite candidates: nonzero block strings supported within
-    [1, p_dagger - 1] with first digit >= 1.  The extremes over this list
+    walk string on [1, tail - 1] whose blocks have all closed, first digit >= 1
+    (the pure tail included).  Finite candidates: walk strings of length
+    p_dagger - 1 with first digit >= 1.  The extremes over this list
     scale to the lim sup / lim inf of the counting ratio.
     """
     if consts is None:
@@ -262,10 +271,10 @@ def extremes(pair: SystemPair, consts: SpectralConstants | None = None) -> Extre
     top_tail = math.ceil(max(2.0, consts.p_star))
     span = consts.p_dagger - 1
     maxd = rule.max_digit
-    # Count the strings generated below (every digit string of length span,
-    # every tiling below each tail position) and stop once past the limit:
-    # near-equal growth rates push p so high that the full count would have
-    # thousands of digits.  A box of 2**20 strings is already past it.
+    # Bound the candidates the walk yields (each string of length span, each
+    # tiling below a tail position) and stop once past the limit: near-equal
+    # growth rates push p so high that the full count would have thousands
+    # of digits.  A box of 2**20 strings is already past it.
     generated = (maxd + 1) ** min(span, MAX_CANDIDATES.bit_length())
     for count in islice(_tiling_count_seq(rule), top_tail):
         generated += count
@@ -277,29 +286,17 @@ def extremes(pair: SystemPair, consts: SpectralConstants | None = None) -> Extre
             f"{pair.sub} in {pair.sup} (tail positions up to {top_tail}, "
             f"finite strings of length {span})"
         )
-    for ti in range(1, top_tail + 1):
-        for tiling in enumerate_tilings(rule, ti - 1):
-            if ti == 1 or tiling.get(1, 0) >= 1:
-                cands.append(StarCandidate(DigitVector(tiling), ti))
+    for digits, pos in _block_strings(rule, max(top_tail - 1, span)):
+        if digits and digits[0] == 0:
+            continue
+        n = len(digits)
+        if pos == 0 and n < top_tail:
+            cands.append(StarCandidate(DigitVector.from_dense(digits), n + 1))
+        if n == span:
+            cands.append(StarCandidate(DigitVector.from_dense(digits), None))
 
-    digits = [0] * span
-
-    def rec_finite(idx):
-        if idx > span:
-            if digits[0] >= 1:
-                vec = DigitVector({i + 1: d for i, d in enumerate(digits)})
-                if is_unit_member(rule, vec):
-                    cands.append(StarCandidate(vec, None))
-            return
-        for d in range(maxd + 1):
-            digits[idx - 1] = d
-            rec_finite(idx + 1)
-        digits[idx - 1] = 0
-
-    if span >= 1:
-        rec_finite(1)
-
-    scored = tuple((c, delta_star(pair, c, consts)) for c in cands)
+    # the walk yields only legal strings, so they are scored without validation
+    scored = tuple((c, _ratio(c, consts)) for c in cands)
     vmax = max(v for _, v in scored)
     vmin = min(v for _, v in scored)
     # ties resolved by ascending serialization so reports are stable

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from zeckdual import SystemPair
+from zeckdual import DigitRule, SystemPair
+from zeckdual.duality import is_subcollection, same_collection
 from zeckdual.spectra import derived_constants
 
 # the three pairs every cross-module suite exercises
@@ -22,3 +25,17 @@ def pairs():
 @pytest.fixture(scope="session")
 def constants(pairs):
     return {name: derived_constants(p) for name, p in pairs.items()}
+
+
+def _rules(draw):
+    period = draw(st.integers(2, 3))
+    first = draw(st.integers(1, 3))
+    return (first,) + tuple(draw(st.integers(0, 3)) for _ in range(period - 1))
+
+
+@st.composite
+def nested_pairs(draw):
+    """A random pair of nested, distinct rules: entries 0..3, periods 2..3."""
+    sub, sup = DigitRule(_rules(draw)), DigitRule(_rules(draw))
+    assume(is_subcollection(sub, sup) and not same_collection(sub, sup))
+    return SystemPair(sub, sup)

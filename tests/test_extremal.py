@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 from zeckdual import (
     DigitRule,
@@ -22,7 +24,7 @@ from zeckdual import (
 )
 from zeckdual.spectra import derived_constants
 
-from conftest import PAIR_RULES
+from conftest import PAIR_RULES, nested_pairs
 
 
 def test_unit_blocks_examples():
@@ -289,3 +291,40 @@ def test_uniform_family_closed_forms(N):
         phi = consts.phi
         assert limsup_closed == pytest.approx(((phi + 2) / 5) * 3**consts.gamma, abs=1e-9)
         assert alpha_closed == pytest.approx((3 * phi + 1) / 5, abs=1e-9)
+
+
+def _box(maxd, n):
+    """Every digit string on [1, n], legal or not, as a DigitVector."""
+    return (DigitVector.from_dense(t) for t in itertools.product(range(maxd + 1), repeat=n))
+
+
+# about one drawn pair in seven is nested with a box of at most 4096 strings
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(pair=nested_pairs())
+def test_walk_candidates_match_box_on_random_pairs(pair):
+    """The candidates are exactly the legal strings of the full digit box."""
+    consts = derived_constants(pair)
+    rule = pair.sub
+    top_tail = math.ceil(max(2.0, consts.p_star))
+    span = consts.p_dagger - 1
+    assume((rule.max_digit + 1) ** max(top_tail - 1, span) <= 4096)
+
+    expected = set()
+    for ti in range(1, top_tail + 1):
+        for vec in _box(rule.max_digit, ti - 1):
+            try:
+                validate_candidate(rule, StarCandidate(vec, ti))
+            except InvalidCandidateError:
+                continue
+            expected.add(StarCandidate(vec, ti).serialize())
+    for vec in _box(rule.max_digit, span):
+        if vec.digit(1) >= 1 and is_unit_member(rule, vec):
+            expected.add(StarCandidate(vec, None).serialize())
+
+    report = extremes(pair, consts)
+    names = [c.serialize() for c, _ in report.all_candidates]
+    assert len(names) == len(set(names))
+    assert set(names) == expected
+    for cand, score in report.all_candidates:
+        validate_candidate(rule, cand)
+        assert score == delta_star(pair, cand, consts)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeckdual import DigitRule, SystemPair, is_member
+from zeckdual import SystemPair, is_member
 from zeckdual import _kernels
-from zeckdual.duality import is_subcollection, same_collection
 
-from conftest import PAIR_RULES
+from conftest import PAIR_RULES, nested_pairs
 
 
 SCATTERED = [1, 2, 3, 7, 64, 99, 100, 101, 1000, 4095, 4096, 50000, 99999, 100000, 1, 17]
@@ -226,19 +225,6 @@ def test_split_tables_stay_in_budget(sub, sup):
             assert size <= budget or s == 0
             if s < m:  # the split is the largest one that fits
                 assert sum(len(t) for t in _kernels._rank_tables(sup_w, caps, s + 1)) > budget
-
-
-def _rules(draw):
-    period = draw(st.integers(2, 3))
-    first = draw(st.integers(1, 3))
-    return (first,) + tuple(draw(st.integers(0, 3)) for _ in range(period - 1))
-
-
-@st.composite
-def nested_pairs(draw):
-    sub, sup = DigitRule(_rules(draw)), DigitRule(_rules(draw))
-    assume(is_subcollection(sub, sup) and not same_collection(sub, sup))
-    return SystemPair(sub, sup)
 
 
 @settings(max_examples=60, deadline=None)
