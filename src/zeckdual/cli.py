@@ -40,6 +40,10 @@ def _float_digits() -> int:
     return 12
 
 
+# rows per counts_at call in scan, and per float64 array in stats
+_CHUNK = 1 << 16
+
+
 def fmt(x: float, digits: int) -> str:
     """Fixed significant-digit float formatting (lowercase exponent)."""
     return f"{x:.{digits}g}"
@@ -139,21 +143,21 @@ def cmd_scan(args) -> int:
         print(f"error: need 1 <= from < to and step >= 1, got [{lo}, {hi}) step {step}", file=sys.stderr)
         return 2
     gamma = derived_constants(pair).gamma
-    digits = args.float_digits
-    out = sys.stdout
-    out.write("x,z,ratio\n")
-    chunk = 1 << 16
+    row = f"%d,%d,%.{args.float_digits}g\n"  # the bytes of fmt for the ratio
+    write = sys.stdout.write
+    write("x,z,ratio\n")
     x = lo
     while x < hi:
-        top = min(hi, x + chunk * step)
-        xs = list(range(x, top, step))
-        zs = pair.counts_at(xs)
-        for xi, zi in zip(xs, zs):
+        top = min(hi, x + _CHUNK * step)
+        xs = range(x, top, step)
+        cells = []
+        for xi, zi in zip(xs, pair.counts_at(xs).tolist()):
             try:
                 ratio = float(zi) / float(xi) ** gamma
             except OverflowError:  # x past the float range; math.log takes any int
                 ratio = math.exp(math.log(zi) - gamma * math.log(xi))
-            out.write(f"{xi},{int(zi)},{fmt(ratio, digits)}\n")
+            cells += (xi, zi, ratio)
+        write((row * len(xs)) % tuple(cells))
         x = top
     return 0
 
@@ -181,50 +185,60 @@ def _iter_ratios(handle):
         yield float(parts[2])
 
 
+def _ratio_chunks(handle):
+    """The ratio column of a scan CSV as float64 arrays of at most _CHUNK rows."""
+    from itertools import islice
+
+    import numpy as np
+
+    ratios = _iter_ratios(handle)
+    while len(chunk := np.fromiter(islice(ratios, _CHUNK), dtype=np.float64)):
+        yield chunk
+
+
+def _file_ratio_chunks(path):
+    with open(path) as fh:
+        yield from _ratio_chunks(fh)
+
+
 def cmd_stats(args) -> int:
-    if args.bins < 1:
-        print(f"error: --bins must be >= 1, got {args.bins}", file=sys.stderr)
+    import numpy as np
+
+    bins = args.bins
+    if bins < 1:
+        print(f"error: --bins must be >= 1, got {bins}", file=sys.stderr)
         return 2
     if args.csvfile == "-":
-        ratios = list(_iter_ratios(sys.stdin))
-        if not ratios:
-            print("error: empty input", file=sys.stderr)
-            return 2
-        rmin, rmax = min(ratios), max(ratios)
-        source = ratios
-        total = len(ratios)
+        chunks = list(_ratio_chunks(sys.stdin))
+        first, second = chunks, chunks
     else:
         # two passes over the file keeps memory flat for huge scans
-        rmin = math.inf
-        rmax = -math.inf
-        total = 0
-        with open(args.csvfile) as fh:
-            for r in _iter_ratios(fh):
-                rmin = min(rmin, r)
-                rmax = max(rmax, r)
-                total += 1
-        if total == 0:
-            print("error: empty input", file=sys.stderr)
-            return 2
-        source = None
-    counts = [0] * args.bins
-    width = (rmax - rmin) / args.bins
-
-    def tally(r):
+        first, second = _file_ratio_chunks(args.csvfile), _file_ratio_chunks(args.csvfile)
+    rmin = math.inf
+    rmax = -math.inf
+    total = 0
+    for c in first:
+        rmin = np.minimum(rmin, c.min())  # a NaN propagates, unlike min()
+        rmax = np.maximum(rmax, c.max())
+        total += len(c)
+    rmin, rmax = float(rmin), float(rmax)
+    if total == 0:
+        print("error: empty input", file=sys.stderr)
+        return 2
+    width = (rmax - rmin) / bins
+    if not math.isfinite(width):
+        print(f"error: ratios must span a finite range, got [{rmin}, {rmax}]", file=sys.stderr)
+        return 2
+    counts = np.zeros(bins, dtype=np.int64)
+    for c in second:
         if width > 0:
-            idx = min(int((r - rmin) / width), args.bins - 1)
+            # the same IEEE operations as int((r - rmin) / width) per row;
+            # astype truncates like int() on these non-negative values
+            tally = np.bincount(np.minimum(((c - rmin) / width).astype(np.int64), bins - 1))
+            counts[: len(tally)] += tally
         else:
-            idx = 0
-        counts[idx] += 1
-
-    if source is not None:
-        for r in source:
-            tally(r)
-    else:
-        with open(args.csvfile) as fh:
-            for r in _iter_ratios(fh):
-                tally(r)
-    _stats_emit(rmin, rmax, counts, total, args.float_digits)
+            counts[0] += len(c)
+    _stats_emit(rmin, rmax, counts.tolist(), total, args.float_digits)
     return 0
 
 

@@ -259,6 +259,73 @@ def test_stats_missing_file(capsys):
     assert code == 2
 
 
+def run_stats(capsys, monkeypatch, tmp_path, csv_text, source, bins=200):
+    """``stats --bins`` over csv_text, read from stdin or from a file."""
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(csv_text))
+        return run(capsys, ["stats", "--bins", str(bins)])
+    path = tmp_path / "scan.csv"
+    path.write_text(csv_text)
+    return run(capsys, ["stats", str(path), "--bins", str(bins)])
+
+
+# sha256 of ``stats --bins <n>`` stdout over the binary ``scan --from 1
+# --to 3000 --step 7`` CSV, recorded with the per-row Python tally
+STATS_GOLDEN = {
+    1: "2ef2362a5d97dc1a684c840aecbc30c2c371ab21b55fe7b58240b4cfd81ab172",
+    7: "21f848c3a61bffef6e512ceb93487a5dc398762432155725fc9008dbf6ba12a6",
+    200: "684d40cb501325295a274fd01bcae690810d2c6160332a9948a9e9924c0ddbaa",
+}
+
+
+@pytest.mark.parametrize("bins", sorted(STATS_GOLDEN))
+def test_stats_golden_output(capsys, monkeypatch, tmp_path, bins):
+    code, csv_text, _ = run(capsys, ["scan", *BINARY, "--from", "1", "--to", "3000", "--step", "7"])
+    assert code == 0
+    outs = [run_stats(capsys, monkeypatch, tmp_path, csv_text, source, bins) for source in ("stdin", "file")]
+    assert outs[0] == outs[1]
+    code, out, _ = outs[0]
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STATS_GOLDEN[bins]
+
+
+# 140,000 rows: three counts_at calls in scan, three float64 chunks in stats;
+# sha256 recorded with the per-row scan and stats loops
+MANY_CHUNKS_SCAN = "b96be7345f7bdc304322172251fec5b810c8efb1d33269d11eff06c6b20ae2e6"
+MANY_CHUNKS_STATS = "5c9ae2ab9f8535432b32c449922d5d67d82d86e173278c3428948f5a609fcc51"
+
+
+def test_scan_and_stats_many_chunks(capsys, monkeypatch, tmp_path):
+    code, csv_text, _ = run(capsys, ["scan", *BINARY, "--from", "1", "--to", "140001"])
+    assert code == 0
+    assert csv_text.count("\n") == 1 + 140000
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == MANY_CHUNKS_SCAN
+    for source in ("stdin", "file"):
+        code, out, _ = run_stats(capsys, monkeypatch, tmp_path, csv_text, source)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == MANY_CHUNKS_STATS
+
+
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_stats_malformed_row_after_many_chunks(capsys, monkeypatch, tmp_path, source):
+    csv_text = "x,z,ratio\n" + "5,3,0.9\n" * 70000 + "1,2\n" + "5,3,0.9\n" * 10
+    code, out, err = run_stats(capsys, monkeypatch, tmp_path, csv_text, source)
+    assert code == 2
+    assert out == ""
+    assert "malformed" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e308,-1e308"])
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_stats_rejects_non_finite_range(capsys, monkeypatch, tmp_path, source, bad):
+    # the bad ratios sit in the second float64 chunk, after a chunk of equal ones
+    rows = "5,3,0.9\n" * 70000 + "".join(f"5,3,{r}\n" for r in bad.split(","))
+    code, out, err = run_stats(capsys, monkeypatch, tmp_path, "x,z,ratio\n" + rows, source, bins=1)
+    assert code == 2
+    assert out == ""
+    assert "finite range" in err
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, ["verify", *BINARY, "--max-x", "3000"])
     assert code == 0
