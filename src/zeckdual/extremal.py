@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 from .digits import DigitRule, DigitVector
@@ -171,29 +172,36 @@ def tiling_counts(rule: DigitRule, n_max: int) -> list[int]:
     return list(islice(_tiling_count_seq(rule), n_max + 1))
 
 
-def _block_strings(rule: DigitRule, depth: int):
-    """Yield ``(digits, pos)`` for each string on [1, n], n = 0..depth, whose
-    bottom-up block reading never goes over a cap; ``digits[i]`` sits at i + 1.
+def _block_strings(rule: DigitRule, depth: int, W, V, first: int = 0):
+    """Yield ``(digits, pos, num, den)`` for each string on [1, n], n = 0..depth,
+    whose bottom-up block reading never goes over a cap and whose first digit
+    is at least ``first`` (0 or 1); ``digits[i]`` sits at i + 1.
 
     ``pos`` is the place of the next index in the open block, 0 once every
     block has closed.  It is not reduced mod N: under (1,0) the block of
-    ``1:1`` is still open at [1, 2].
+    ``1:1`` is still open at [1, 2].  ``num`` and ``den`` are the sums of
+    ``d * W[k]`` and ``d * V[k]`` over the digits d at k, added in ascending k.
     """
     ent = rule.entries
     N = len(ent)
-    stack = [((), 0)]
+    stack = [((), 0, 0.0, 0.0)]
     while stack:
-        digits, pos = stack.pop()
-        yield digits, pos
-        if len(digits) < depth:
+        digits, pos, num, den = stack.pop()
+        yield digits, pos, num, den
+        k = len(digits) + 1
+        if k <= depth:
             cap = ent[pos % N]
-            stack.extend((digits + (d,), 0) for d in range(cap))
-            stack.append((digits + (cap,), pos + 1))
+            w, v = W[k], V[k]
+            # a rule's first entry is >= 1, so the capped first digit is never below ``first``
+            lo = first if k == 1 else 0
+            stack.extend((digits + (d,), 0, num + d * w, den + d * v) for d in range(lo, cap))
+            stack.append((digits + (cap,), pos + 1, num + cap * w, den + cap * v))
 
 
 def enumerate_tilings(rule: DigitRule, n: int):
     """Yield every digit dict whose bottom-up blocks tile [1, n] exactly."""
-    for digits, pos in _block_strings(rule, n):
+    unscored = [0] * (n + 1)
+    for digits, pos, _, _ in _block_strings(rule, n, unscored, unscored):
         if len(digits) == n and pos == 0:
             yield {i: d for i, d in enumerate(digits, 1) if d}
 
@@ -243,6 +251,39 @@ def measure_tail_bound(consts: SpectralConstants, terms: int) -> float:
     return (1.0 - consts.rho) * r ** (terms + 1) / (1.0 - r)
 
 
+def _limits(consts: SpectralConstants) -> tuple[int, int]:
+    """The highest tail position and the length of the finite candidates."""
+    return math.ceil(max(2.0, consts.p_star)), consts.p_dagger - 1
+
+
+def _scored_strings(rule: DigitRule, consts: SpectralConstants):
+    """Yield ``(digits, tail_index, score)`` for each candidate, in walk order.
+
+    The walk carries the sub and sup readings of each string, so a score is
+    one division: the same sums in the same order as ``_ratio``, bit for
+    bit.  Strings that start with a 0 are no candidates and are not walked.
+    """
+    top_tail, span = _limits(consts)
+    depth = max(top_tail - 1, span)
+    W = [consts.omega**k for k in range(depth + 1)]
+    V = [consts.omega_sup**k for k in range(depth + 1)]
+    # what the all-caps tail from index b + 1 adds to the sup reading
+    T = [consts.rho * v for v in V[:top_tail]]
+    gamma = consts.gamma
+    for digits, pos, num, den in _block_strings(rule, depth, W, V, first=1):
+        n = len(digits)
+        if pos == 0 and n < top_tail:
+            yield digits, n + 1, (num + W[n]) / (den + T[n]) ** gamma
+        if n == span:
+            yield digits, None, num / den**gamma
+
+
+def _first_serialized(tied) -> StarCandidate:
+    """The tied ``(digits, tail_index)`` string with the smallest serialization."""
+    cands = (StarCandidate(DigitVector.from_dense(digits), ti) for digits, ti in tied)
+    return min(cands, key=StarCandidate.serialize)
+
+
 @dataclass(frozen=True)
 class ExtremalReport:
     max_candidate: StarCandidate
@@ -251,7 +292,17 @@ class ExtremalReport:
     delta_min: float
     limsup: float
     liminf: float
-    all_candidates: tuple
+    # what the candidate table is walked from on first read
+    pair: SystemPair = field(repr=False, compare=False)
+    consts: SpectralConstants = field(repr=False, compare=False)
+
+    @cached_property
+    def all_candidates(self) -> tuple:
+        """Every ``(candidate, score)`` in walk order, built on first read."""
+        return tuple(
+            (StarCandidate(DigitVector.from_dense(digits), ti), v)
+            for digits, ti, v in _scored_strings(self.pair.sub, self.consts)
+        )
 
 
 def extremes(pair: SystemPair, consts: SpectralConstants | None = None) -> ExtremalReport:
@@ -261,15 +312,14 @@ def extremes(pair: SystemPair, consts: SpectralConstants | None = None) -> Extre
     walk string on [1, tail - 1] whose blocks have all closed, first digit >= 1
     (the pure tail included).  Finite candidates: walk strings of length
     p_dagger - 1 with first digit >= 1.  The extremes over this list
-    scale to the lim sup / lim inf of the counting ratio.
+    scale to the lim sup / lim inf of the counting ratio.  Only the extremes
+    and their tied strings are kept; ``all_candidates`` walks again on first
+    read.
     """
     if consts is None:
         consts = derived_constants(pair)
     rule = pair.sub
-    cands: list[StarCandidate] = []
-
-    top_tail = math.ceil(max(2.0, consts.p_star))
-    span = consts.p_dagger - 1
+    top_tail, span = _limits(consts)
     maxd = rule.max_digit
     # Bound the candidates the walk yields (each string of length span, each
     # tiling below a tail position) and stop once past the limit: near-equal
@@ -286,29 +336,27 @@ def extremes(pair: SystemPair, consts: SpectralConstants | None = None) -> Extre
             f"{pair.sub} in {pair.sup} (tail positions up to {top_tail}, "
             f"finite strings of length {span})"
         )
-    for digits, pos in _block_strings(rule, max(top_tail - 1, span)):
-        if digits and digits[0] == 0:
-            continue
-        n = len(digits)
-        if pos == 0 and n < top_tail:
-            cands.append(StarCandidate(DigitVector.from_dense(digits), n + 1))
-        if n == span:
-            cands.append(StarCandidate(DigitVector.from_dense(digits), None))
 
-    # the walk yields only legal strings, so they are scored without validation
-    scored = tuple((c, _ratio(c, consts)) for c in cands)
-    vmax = max(v for _, v in scored)
-    vmin = min(v for _, v in scored)
-    # ties resolved by ascending serialization so reports are stable
-    cmax = min((c for c, v in scored if v == vmax), key=lambda c: c.serialize())
-    cmin = min((c for c, v in scored if v == vmin), key=lambda c: c.serialize())
+    vmax, vmin = -math.inf, math.inf
+    tied_max, tied_min = [], []
+    for digits, ti, v in _scored_strings(rule, consts):
+        if v >= vmax:
+            if v > vmax:
+                vmax, tied_max = v, []
+            tied_max.append((digits, ti))
+        if v <= vmin:
+            if v < vmin:
+                vmin, tied_min = v, []
+            tied_min.append((digits, ti))
     scale = consts.alpha / consts.alpha_sup**consts.gamma
     return ExtremalReport(
-        max_candidate=cmax,
-        min_candidate=cmin,
+        # ties resolved by ascending serialization so reports are stable
+        max_candidate=_first_serialized(tied_max),
+        min_candidate=_first_serialized(tied_min),
         delta_max=vmax,
         delta_min=vmin,
         limsup=scale * vmax,
         liminf=scale * vmin,
-        all_candidates=scored,
+        pair=pair,
+        consts=consts,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 
-from .digits import DigitRule, DigitVector, basis_predecessor, decompose, is_member, NotMemberError
+from .digits import DigitRule, DigitVector, basis_predecessor, is_member
 
 
 class InternalInconsistencyError(RuntimeError):

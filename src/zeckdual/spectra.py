@@ -48,8 +48,8 @@ def poly_derivative(coeffs):
 def dominant_root(coeffs, tol: float = 1e-12) -> float:
     """The unique root above 1 of a rule's characteristic polynomial.
 
-    Bisection on the bracket [1, sum(|lower coeffs|) + 2] down to ``tol``,
-    then a few Newton steps to polish.
+    Bisection on the bracket [1, sum(|lower coeffs|) + 2] down to ``tol``
+    or to adjacent doubles, then a few Newton steps to polish.
     """
     lo = 1.0
     hi = 2.0 + float(sum(abs(c) for c in coeffs[:-1]))
@@ -59,6 +59,9 @@ def dominant_root(coeffs, tol: float = 1e-12) -> float:
         raise NoSignChangeError(f"no sign change on [{lo}, {hi}] for {coeffs}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        # above 8192 adjacent doubles are further apart than tol
+        if mid == lo or mid == hi:
+            break
         if poly_eval(coeffs, mid) < 0:
             lo = mid
         else:

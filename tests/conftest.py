@@ -13,6 +13,15 @@ PAIR_RULES = {
     "nonbase": ((2, 0, 1), (10, 4)),
 }
 
+# the six pairs of the benchmark's envelope workload, from 4 to 67,260
+# extremal candidates
+ENVELOPE_RULES = {
+    **PAIR_RULES,
+    "110/11": ((1, 1, 0), (1, 1)),
+    "22/33": ((2, 2), (3, 3)),
+    "20/21": ((2, 0), (2, 1)),
+}
+
 # rules used for single-system tests
 TEST_RULES = [(1, 0), (1, 1), (1, 1, 0), (2, 2, 2), (2, 0, 1), (10, 4), (2, 3, 0)]
 

@@ -9,7 +9,7 @@ import pytest
 from zeckdual import DigitRule, Numeration, SystemPair, cli, format_digits
 from zeckdual.extremal import extremes
 
-from conftest import PAIR_RULES
+from conftest import ENVELOPE_RULES, PAIR_RULES
 
 BINARY = ["--sub", "1,0", "--super", "1,1"]
 
@@ -120,7 +120,9 @@ def test_extremes_refuses_huge_candidate_list(capsys):
 
 
 # sha256 of ``extremes`` stdout at the default 12 digits, recorded with the
-# tiling recursion and the finite-string box that the block walk replaced
+# tiling recursion and the finite-string box that the block walk replaced;
+# the 22/33 pair and the 20/21 json, with the per-candidate scoring that the
+# in-walk sums replaced
 EXTREMES_GOLDEN = {
     ("binary", "text"): "2467aeade26ff06f9a132e3d17bf752e41e86a949c9516cbd686211ddd110614",
     ("binary", "json"): "0690c152c543b8ea27e5f74e736004bb2bebae76c84dbbdf76b61953369a2eb0",
@@ -134,13 +136,11 @@ EXTREMES_GOLDEN = {
     ("200/230", "json"): "cee4869db8357e10af9581f7dd15e630e19c79b863c2368149b035c2c082ea27",
     # 67,260 candidates, 338 of them finite strings
     ("20/21", "text"): "04641d4f76fb181295e8764324c6def6ca564dfb9dcd1af4541390f47601b178",
+    ("20/21", "json"): "3b1d7f4ecd3fc72a524befc49a2abf117af3b5f54cc1204801c3f13c6003f4b6",
+    ("22/33", "text"): "5a6639baeab5c1c7c5f33e958fb301b5bee90b8375e5a34aa4ee2b08dda8cdbf",
+    ("22/33", "json"): "88813f9e8cf5c93a66800dc6cc3635cc2b12eb7594f73344ec947dfc86d9fa5d",
 }
-GOLDEN_PAIRS = {
-    **PAIR_RULES,
-    "110/11": ((1, 1, 0), (1, 1)),
-    "200/230": ((2, 0, 0), (2, 3, 0)),
-    "20/21": ((2, 0), (2, 1)),
-}
+GOLDEN_PAIRS = {**ENVELOPE_RULES, "200/230": ((2, 0, 0), (2, 3, 0))}
 
 
 @pytest.mark.parametrize("name,form", sorted(EXTREMES_GOLDEN))

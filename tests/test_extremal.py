@@ -24,7 +24,7 @@ from zeckdual import (
 )
 from zeckdual.spectra import derived_constants
 
-from conftest import PAIR_RULES, nested_pairs
+from conftest import ENVELOPE_RULES, PAIR_RULES, nested_pairs
 
 
 def test_unit_blocks_examples():
@@ -328,3 +328,39 @@ def test_walk_candidates_match_box_on_random_pairs(pair):
     for cand, score in report.all_candidates:
         validate_candidate(rule, cand)
         assert score == delta_star(pair, cand, consts)
+
+
+def _check_reduction(pair, consts):
+    """The extremes are the max and min over the full table, ties broken by
+    ascending serialization, and the library call builds no table."""
+    report = extremes(pair, consts)
+    assert "all_candidates" not in vars(report)
+    table = report.all_candidates
+    assert report.all_candidates is table
+    for best, delta, cand in (
+        (max, report.delta_max, report.max_candidate),
+        (min, report.delta_min, report.min_candidate),
+    ):
+        v = best(score for _, score in table)
+        assert delta == v
+        assert cand.serialize() == min(c.serialize() for c, score in table if score == v)
+    scale = consts.alpha / consts.alpha_sup**consts.gamma
+    assert report.limsup == scale * report.delta_max
+    assert report.liminf == scale * report.delta_min
+
+
+@pytest.mark.parametrize("name", sorted(ENVELOPE_RULES))
+def test_extremes_reduce_the_table_on_envelope_pairs(name):
+    pair = SystemPair(*ENVELOPE_RULES[name])
+    _check_reduction(pair, derived_constants(pair))
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(pair=nested_pairs())
+def test_extremes_reduce_the_table_on_random_pairs(pair):
+    consts = derived_constants(pair)
+    top_tail = math.ceil(max(2.0, consts.p_star))
+    span = consts.p_dagger - 1
+    assume(max(top_tail, span) <= 30)
+    assume((pair.sub.max_digit + 1) ** span + sum(tiling_counts(pair.sub, top_tail - 1)) <= 20_000)
+    _check_reduction(pair, consts)

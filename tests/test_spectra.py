@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,21 @@ def test_dominant_root_residual(entries):
 def test_no_sign_change_guard():
     with pytest.raises(NoSignChangeError):
         dominant_root([1, 0, 1])  # x^2 + 1 has no real root above 1
+
+
+@pytest.mark.parametrize("e", [8192, 9000, 10**4, 10**6])
+def test_info_with_root_above_8192_returns(e):
+    """A rule (e,e) has phi = e + 1 exactly.  Above 8192 adjacent doubles
+    are further apart than the bisection's tol, which once looped forever;
+    the subprocess timeout turns such a hang into a failure."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "zeckdual.cli", "info", "--sub", "1,0", "--super", f"{e},{e}", "--json"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["phi_sup"] == e + 1
+    assert dominant_root(char_poly(DigitRule((e, e)))) == e + 1
 
 
 def test_growth_constant_closed_forms():
