@@ -1,9 +1,10 @@
 """Batch kernels for range scans.
 
 Every row is one input value; the loops run over weight indices with all
-rows advanced together.  Values (inputs, weights, counts, rank tables) take
-the dtype of the weights passed in, int64 or object (Python ints, exact at any
-size, for callers past int64); positions, offsets, caps and digits stay int64.
+rows advanced together.  Inputs, weights and counts take the dtype of the
+weights passed in, int64 or object (Python ints, exact at any size, for
+callers past int64); positions, offsets, caps, digits and the rank tables
+stay int64.
 
 There is one walk.  ``_capped_columns`` peels the capped digits off the
 top: the floor quotient at each weight, clipped to the extraction-pattern
@@ -14,32 +15,110 @@ digit over its cap decides non-membership.  At that point the dual count
 is the sub weight one above the open block's top plus the value of the
 digits already passed.
 
-The sweep stops at a split index ``s``.  Below it every surviving row is
-finished by one ``searchsorted``.  Sup-expansion preserves order, so the
-members that share the row's prefix and lie below it are the sub-legal
-strings on indices ``1..s`` whose sup value is below the row's leftover
-``r``.  The set of legal strings depends only on the scan offset ``o`` at
-which they enter, and ``_rank_tables`` lists their sorted sup values
-``T_o``.  The count is then the sub value of the prefix plus the rank of
-``r`` in ``T_o``, and membership means ``r`` is in ``T_o``.
+The sweep stops at the level ``L`` of a ``RankTables``.  Below it every
+surviving row is finished by one ``searchsorted``.  Sup-expansion
+preserves order, so the members that share the row's prefix and lie below
+it are the sub-legal strings on indices ``1..L`` whose sup value is below
+the row's leftover ``r``.  The set of legal strings depends only on the
+scan offset ``o`` at which they enter, and the tables list their sorted
+sup values ``T_o``.  The count is then the sub value of the prefix plus
+the rank of ``r`` in ``T_o``, and membership means ``r`` is in ``T_o``.
+When every x lies below the sup weight of index ``L + 1`` the sweep is
+empty: the count is ``searchsorted(T_0, x)``, and the members in
+``[lo, hi)`` are the slice of ``T_0`` between ``lo`` and ``hi``.
 
-``_split_index`` picks the largest ``s`` whose tables hold at most
-``_TABLE_ROWS`` entries per input row in total, so a call's peak memory
-is O(rows), not O(rows x indices).  At ``s = 0`` every table is ``[0]``
-and the walk is the full column sweep; at ``s = m`` it is a pure rank
-lookup.
+A ``SystemPair`` keeps one ``RankTables`` and grows it on demand, one
+level at a time, to ``min(m, max_level)`` for a call whose top index is
+m.  ``max_level`` is the largest level whose tables hold at most
+``_TABLE_ENTRIES`` entries over all offsets together and whose sup weight
+of index ``L + 1`` and table entries stay below 2^62.  So a pair holds at
+most ``8 * _TABLE_ENTRIES`` bytes of tables (8 MB; a growth step briefly
+holds the level below as well), and a call's other arrays are O(rows).
+Every level gives the same answer: at 0 every table is ``[0]`` and the
+walk is the full column sweep.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_TABLE_ROWS = 16  # rank-table entries allowed per input row
+_TABLE_ENTRIES = 1 << 20  # rank-table entries one pair keeps, all offsets together
+_INT64_SAFE = 1 << 62  # sup weights and table entries stay below this
 
 
 def kernels_enabled() -> bool:
     """Always False (no compiled backend); kept because ``bench/run.py`` records it as a machine fact."""
     return False
+
+
+class RankTables:
+    """Sorted sup values ``T[o]`` of the strings on indices ``1..level`` that are legal entering at offset o.
+
+    ``sup_w`` lists sup weights from index 1 on; only those below 2^62 are
+    kept.  ``caps`` are the scan (sub) caps.  The tables start at level 0
+    and only ``grow`` builds them.
+    """
+
+    def __init__(self, sup_w, caps):
+        self.sup_w = np.array([int(w) for w in sup_w if w < _INT64_SAFE], dtype=np.int64)
+        self.caps = [int(c) for c in caps]
+        self.level = 0
+        self.T = [np.zeros(1, dtype=np.int64)] * len(self.caps)
+        self.max_level = self._max_level()
+
+    def _max_level(self) -> int:
+        """Largest level within ``_TABLE_ENTRIES`` entries whose sup weight above and entries stay below 2^62.
+
+        ``|T_o|`` at level L+1 is ``c_o |T_0| + |T_(o+1)|`` at level L, and
+        the largest entry of ``T_o`` is the largest of ``T_(o+1)`` plus
+        ``c_o`` times the new weight.
+        """
+        caps, N = self.caps, len(self.caps)
+        sizes, tops = [1] * N, [0] * N
+        level = 0
+        while level + 1 < len(self.sup_w):  # sup_w[level + 1] < 2^62 after growing
+            w = int(self.sup_w[level])
+            sizes = [c * sizes[0] + sizes[(o + 1) % N] for o, c in enumerate(caps)]
+            tops = [tops[(o + 1) % N] + c * w for o, c in enumerate(caps)]
+            if sum(sizes) > _TABLE_ENTRIES or max(tops) >= _INT64_SAFE:
+                break
+            level += 1
+        return level
+
+    def grow(self, m: int) -> RankTables:
+        """Raise the level to ``min(m, max_level)``, one index at a time; never lowers it.
+
+        The top digit d at the new index splits each table: below its cap d
+        closes the block (any fresh string follows), at its cap the block
+        stays open one offset further.  Each part lies below the next, so
+        writing them in order into one array keeps it sorted.
+        """
+        N = len(self.caps)
+        while self.level < min(m, self.max_level):
+            w = self.sup_w[self.level]
+            fresh = self.T[0]
+            n = len(fresh)
+            grown = []
+            for o, c in enumerate(self.caps):
+                tail = self.T[(o + 1) % N]
+                if not c:  # no fresh part, and the open part is unshifted
+                    grown.append(tail)
+                    continue
+                t = np.empty(c * n + len(tail), dtype=np.int64)
+                for d in range(c):
+                    np.add(fresh, d * w, out=t[d * n:(d + 1) * n])
+                np.add(tail, c * w, out=t[c * n:])
+                grown.append(t)
+            self.T = grown
+            self.level += 1
+        return self
+
+    def mask(self, lo: int, hi: int):
+        """Membership of every n in ``[lo, hi)``, for ``hi - 1`` below the sup weight of index ``level + 1``."""
+        T = self.T[0]
+        out = np.zeros(hi - lo, dtype=bool)
+        out[T[np.searchsorted(T, lo):np.searchsorted(T, hi)] - lo] = True
+        return out
 
 
 def _capped_columns(rem, weights, caps, stop):
@@ -72,62 +151,27 @@ def digit_matrix(xs, weights, caps):
     return out
 
 
-def _split_index(m, caps, rows):
-    """Largest ``s <= m`` whose rank tables hold at most ``_TABLE_ROWS * rows`` entries (0 if none).
-
-    The sizes follow from the caps alone: ``|T_o|`` at s is ``c_o`` times
-    ``|T_0|`` at s-1 plus ``|T_(o+1)|`` at s-1, each table at s = 0 being ``[0]``.
-    """
-    caps = [int(c) for c in caps]
-    N = len(caps)
-    budget = _TABLE_ROWS * rows
-    sizes = [1] * N
-    s = 0
-    while s < m:
-        nxt = [c * sizes[0] + sizes[(o + 1) % N] for o, c in enumerate(caps)]
-        if sum(nxt) > budget:
-            break
-        sizes = nxt
-        s += 1
-    return s
-
-
-def _rank_tables(sup_w, caps, s):
-    """Sorted sup values ``T_o`` of the strings on indices ``1..s`` that are legal entering at offset o.
-
-    Built bottom up by splitting on the top digit d at index k: below its
-    cap d closes the block (any fresh string follows), at its cap the block
-    stays open one offset further.  Each part lies below the next, so
-    concatenation keeps the table sorted.
-    """
-    caps = [int(c) for c in caps]
-    N = len(caps)
-    tables = [np.zeros(1, dtype=sup_w.dtype)] * N
-    for k in range(s):
-        w = sup_w[k]
-        fresh = tables[0]
-        tables = [
-            np.concatenate(((np.arange(c, dtype=sup_w.dtype)[:, None] * w + fresh).ravel(),
-                            tables[(o + 1) % N] + c * w))
-            for o, c in enumerate(caps)
-        ]
-    return tables
-
-
-def _walk(xs, sup_w, sup_caps, caps, sub_w, s):
-    """Top sweep over indices ``m..s+1``, then one rank lookup per row at ``s``.
+def _walk(xs, sup_w, sup_caps, caps, sub_w, tables):
+    """Top sweep over indices ``m..level+1``, then one rank lookup per row in ``tables``.
 
     Returns ``(counts, flags)``: the expressible count below each x and
     whether x itself is expressible.  ``counts`` is None when ``sub_w`` is
-    None.  Any ``0 <= s <= len(sup_w)`` gives the same answer.
+    None.  The tables must be over the same sup weights and ``caps``; any
+    level gives the same answer.
     """
     sup_w = np.asarray(sup_w)
+    count = sub_w is not None
+    s = tables.level
+    if len(sup_w) <= s:  # every x is below the tables' top: one lookup in T_0
+        T = tables.T[0]
+        r = np.asarray(xs, dtype=np.int64)
+        rank = np.searchsorted(T, r)
+        return (rank if count else None), T[np.minimum(rank, len(T) - 1)] == r
     sup_caps = np.asarray(sup_caps, dtype=np.int64)
     caps = np.asarray(caps, dtype=np.int64)
     r = np.array(xs, dtype=sup_w.dtype)
     n = len(r)
     N = len(caps)
-    count = sub_w is not None
     if count:
         sub_w = np.asarray(sub_w, dtype=sup_w.dtype)
     alive = np.ones(n, dtype=bool)
@@ -151,9 +195,12 @@ def _walk(xs, sup_w, sup_caps, caps, sub_w, s):
             done += cur * closes
             cur *= keeps
         pos = (pos + 1) * keeps
+    if r.dtype == object:
+        # every table entry is below 2^62, so a larger leftover ranks past them all
+        r = np.minimum(r, _INT64_SAFE).astype(np.int64)
     flags = np.zeros(n, dtype=bool)
     off = pos % N
-    for o, table in enumerate(_rank_tables(sup_w, caps, s)):
+    for o, table in enumerate(tables.T):
         rows = np.flatnonzero(alive & (off == o))
         if not len(rows):
             continue
@@ -164,11 +211,16 @@ def _walk(xs, sup_w, sup_caps, caps, sub_w, s):
     return (z if count else None), flags
 
 
-def member_flags(ns, sup_w, sup_caps, caps):
+def _own_tables(sup_w, caps):
+    """Tables for a call that brings none, grown as far as ``sup_w`` reaches."""
+    return RankTables(sup_w, caps).grow(len(sup_w))
+
+
+def member_flags(ns, sup_w, sup_caps, caps, tables=None):
     """Membership of the sup-expansion of each n in the ``caps`` pattern."""
-    return _walk(ns, sup_w, sup_caps, caps, None, _split_index(len(sup_w), caps, len(ns)))[1]
+    return _walk(ns, sup_w, sup_caps, caps, None, tables or _own_tables(sup_w, caps))[1]
 
 
-def dual_counts(xs, sup_w, sup_caps, caps, sub_w):
+def dual_counts(xs, sup_w, sup_caps, caps, sub_w, tables=None):
     """Exact expressible count below each x; ``sub_w`` must extend one past ``sup_w``."""
-    return _walk(xs, sup_w, sup_caps, caps, sub_w, _split_index(len(sup_w), caps, len(xs)))[0]
+    return _walk(xs, sup_w, sup_caps, caps, sub_w, tables or _own_tables(sup_w, caps))[0]

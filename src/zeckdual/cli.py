@@ -40,7 +40,7 @@ def _float_digits() -> int:
     return 12
 
 
-# rows per counts_at call in scan, and per float64 array in stats
+# rows per counts_at call in scan and verify, and per float64 array in stats
 _CHUNK = 1 << 16
 
 
@@ -271,20 +271,27 @@ def cmd_verify(args) -> int:
     flags = np.array([is_member(pair.sub, pair.sup_num.encode(n)) for n in range(max_x)])
     running = np.zeros(max_x + 1, dtype=np.int64)
     np.cumsum(flags, out=running[1:])
-    zs = pair.counts_at(range(1, max_x + 1))
-    mask = pair.expressible_mask(0, max_x)
-    mism = np.nonzero(zs != running[1:])[0]
-    bad_n = np.nonzero(mask != flags)[0]
-    if len(mism):
-        x_bad = int(mism[0]) + 1
+    # chunks of _CHUNK rows keep the kernel's transient arrays flat; every
+    # chunk reuses the pair's rank tables
+    mism = bad_mask = None  # (x, closed count) and (n, mask) at the first mismatch
+    for lo in range(0, max_x, _CHUNK):
+        hi = min(lo + _CHUNK, max_x)
+        zs = pair.counts_at(range(lo + 1, hi + 1))
+        mask = pair.expressible_mask(lo, hi)
+        if mism is None and len(bad := np.flatnonzero(zs != running[lo + 1 : hi + 1])):
+            mism = (lo + 1 + int(bad[0]), int(zs[bad[0]]))
+        if bad_mask is None and len(bad := np.flatnonzero(mask != flags[lo:hi])):
+            bad_mask = (lo + int(bad[0]), bool(mask[bad[0]]))
+    if mism is not None:
+        x_bad, closed = mism
         report(
             "duality_vs_brute",
             False,
-            f"first mismatch at x={x_bad}: closed={int(zs[mism[0]])} brute={int(running[x_bad])}",
+            f"first mismatch at x={x_bad}: closed={closed} brute={int(running[x_bad])}",
         )
-    elif len(bad_n):
-        n_bad = int(bad_n[0])
-        report("duality_vs_brute", False, f"mask mismatch at n={n_bad}: mask={bool(mask[n_bad])} brute={bool(flags[n_bad])}")
+    elif bad_mask is not None:
+        n_bad, got = bad_mask
+        report("duality_vs_brute", False, f"mask mismatch at n={n_bad}: mask={got} brute={bool(flags[n_bad])}")
     else:
         report("duality_vs_brute", True, f"x=1..{max_x}")
 

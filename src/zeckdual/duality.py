@@ -73,6 +73,7 @@ class SystemPair:
         self.sup = sup
         self.sub_num = Numeration(sub)
         self.sup_num = Numeration(sup)
+        self._ranks = None  # rank tables, built by the first batch call
 
     def ceil_member(self, vec: DigitVector) -> DigitVector:
         """Smallest sub member >= vec in scan order (vec itself if it is one).
@@ -130,11 +131,22 @@ class SystemPair:
             np.array(wsub, dtype=dt),
         )
 
+    def _rank_tables(self, m: int):
+        """The pair's rank tables, grown to level ``min(m, max_level)``; the first call creates them."""
+        from . import _kernels
+
+        if self._ranks is None:
+            top = self.sup_num.top_index(_kernels._INT64_SAFE - 1)
+            self._ranks = _kernels.RankTables(self.sup_num.weights(top), self.sub.entries)
+        return self._ranks.grow(m)
+
     def counts_at(self, xs):
         """``count_expressible`` for every x in xs (ints >= 1, or an integer ndarray).
 
-        int64 below 2**62, Python ints above; a call has a fixed setup cost, so use
-        ``count_expressible`` for a single x."""
+        int64 below 2**62, Python ints above.  The first call on a pair
+        builds its rank tables up to the call's top index (at most 8 MB);
+        later calls reuse them and grow them only for larger x.  For a
+        single x, ``count_expressible`` avoids that build."""
         import numpy as np
 
         from . import _kernels
@@ -154,10 +166,14 @@ class SystemPair:
         if arr.min() < 1:
             raise ValueError("count needs x >= 1")
         sup_w, sup_caps, caps, sub_w = self._tables(int(arr.max()))
-        return _kernels.dual_counts(arr, sup_w, sup_caps, caps, sub_w)
+        tables = self._rank_tables(len(sup_w))
+        return _kernels.dual_counts(arr, sup_w, sup_caps, caps, sub_w, tables)
 
     def expressible_mask(self, lo: int, hi: int):
-        """Boolean array over n in [lo, hi): sup-expansion is a sub member."""
+        """Boolean array over n in [lo, hi): sup-expansion is a sub member.
+
+        Below the top of the pair's rank tables the mask is a slice of
+        them; above, it is the walk."""
         import numpy as np
 
         from . import _kernels
@@ -168,5 +184,8 @@ class SystemPair:
         if hi == lo:
             return np.zeros(0, dtype=bool)
         sup_w, sup_caps, caps, _ = self._tables(max(hi - 1, 1))
+        tables = self._rank_tables(len(sup_w))
+        if len(sup_w) <= tables.level:
+            return tables.mask(lo, hi)
         ns = np.arange(lo, hi, dtype=sup_w.dtype)
-        return _kernels.member_flags(ns, sup_w, sup_caps, caps)
+        return _kernels.member_flags(ns, sup_w, sup_caps, caps, tables)

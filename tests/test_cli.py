@@ -345,6 +345,40 @@ def test_verify_passes(capsys):
     assert all(": ok" in line for line in lines)
 
 
+def test_verify_in_chunks_prints_the_same(capsys, monkeypatch):
+    """``verify`` checks the batch calls chunk by chunk; the chunk size does not show in its output."""
+    _, whole, _ = run(capsys, ["verify", *BINARY, "--max-x", "3000"])
+    monkeypatch.setattr(cli, "_CHUNK", 700)
+    code, out, _ = run(capsys, ["verify", *BINARY, "--max-x", "3000"])
+    assert code == 0 and out == whole
+
+
+@pytest.mark.parametrize("broken", ["counts_at", "expressible_mask"])
+def test_verify_reports_the_first_mismatch_across_chunks(capsys, monkeypatch, broken):
+    original = getattr(SystemPair, broken)
+
+    def off_by_one(self, *args):
+        out = original(self, *args)
+        first = args[0] if broken == "expressible_mask" else args[0][0] - 1  # n of out[0]
+        for n in (1500, 2100):  # the second and third chunk of 700
+            if first <= n < first + len(out):
+                out[n - first] ^= 1
+        return out
+
+    monkeypatch.setattr(cli, "_CHUNK", 700)
+    monkeypatch.setattr(SystemPair, broken, off_by_one)
+    code, out, _ = run(capsys, ["verify", *BINARY, "--max-x", "3000"])
+    assert code == 1
+    pair = SystemPair(*PAIR_RULES["binary"])
+    if broken == "counts_at":
+        z = pair.count_expressible(1501)
+        detail = f"first mismatch at x=1501: closed={z ^ 1} brute={z}"
+    else:
+        flag = pair.count_expressible(1501) - pair.count_expressible(1500) == 1
+        detail = f"mask mismatch at n=1500: mask={not flag} brute={flag}"
+    assert f"duality_vs_brute: FAIL ({detail})" in out.splitlines()
+
+
 def test_verify_rejects_non_nested(capsys):
     code, _, err = run(capsys, ["verify", "--sub", "1,2,1", "--super", "1,3", "--max-x", "100"])
     assert code == 1

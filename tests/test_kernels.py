@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zeckdual
 from zeckdual import SystemPair, is_member
 from zeckdual import _kernels
 
@@ -173,17 +179,20 @@ SPLIT_PAIRS = sorted(PAIR_RULES.values()) + [((2, 0, 0), (2, 3, 0)), ((1, 1, 0),
 
 @pytest.mark.parametrize("sub,sup", SPLIT_PAIRS)
 def test_walk_every_split(sub, sup):
-    """Every split point, from the full sweep (s=0) to a pure rank table (s=m), gives the scalar answers."""
+    """Every level, from the full sweep (0) to a pure rank lookup (m), gives the scalar answers."""
     pair = SystemPair(sub, sup)
     xs = np.array(list(range(1, 700)) + SCATTERED + [31337, 65536, 77777], dtype=np.int64)
     sup_w, sup_caps, caps, sub_w = pair._tables(int(xs.max()))
     counts = [pair.count_expressible(int(x)) for x in xs]
     member = [is_member(pair.sub, pair.sup_num.encode(int(x))) for x in xs]
+    tables = pair._rank_tables(0)
+    assert tables.max_level >= len(sup_w)
     for s in range(len(sup_w) + 1):
-        z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, s)
+        assert tables.grow(s).level == s
+        z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, tables)
         assert z.tolist() == counts, s
         assert flags.tolist() == member, s
-        no_counts, flags = _kernels._walk(xs, sup_w, sup_caps, caps, None, s)
+        no_counts, flags = _kernels._walk(xs, sup_w, sup_caps, caps, None, tables)
         assert no_counts is None
         assert flags.tolist() == member, s
 
@@ -193,7 +202,7 @@ HUGE = [2**62 - 1, 2**62, 2**63 - 1, 2**63, 2**64 + 1, 10**40, 10**300]
 
 @pytest.mark.parametrize("sub,sup", SPLIT_PAIRS)
 def test_object_walk_every_split(sub, sup):
-    """Past int64 the walk runs on Python ints and still gives the scalar answers at every split."""
+    """Past int64 the walk runs on Python ints and still gives the scalar answers at every level."""
     pair = SystemPair(sub, sup)
     # the sup value of a sub member is expressible, so its rows reach the rank lookup
     deep = pair.sup_num.decode(pair.sub_num.encode(10**40))
@@ -204,27 +213,40 @@ def test_object_walk_every_split(sub, sup):
         assert (_kernels.digit_matrix(xs, sup_w, sup_caps) @ sup_w).tolist() == xs
         counts = [pair.count_expressible(x) for x in xs]
         member = [is_member(pair.sub, pair.sup_num.encode(x)) for x in xs]
-        for s in range(_kernels._split_index(len(sup_w), caps, len(xs)) + 1):
-            z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, s)
+        tables = _kernels.RankTables(sup_w, caps)
+        for s in range(tables.max_level + 1):
+            z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, tables.grow(s))
             assert z.tolist() == counts, s
             assert flags.tolist() == member, s
         assert pair.counts_at(xs).tolist() == counts
 
 
-@pytest.mark.parametrize("sub,sup", SPLIT_PAIRS)
-def test_split_tables_stay_in_budget(sub, sup):
+@pytest.mark.parametrize("sub,sup", SPLIT_PAIRS + [((1, 0), (9, 9))])
+def test_rank_tables_stay_in_budget(sub, sup):
+    """A pair's tables grow to the top index asked for, within the entry budget and below 2^62."""
     pair = SystemPair(sub, sup)
-    for max_x in [10**3, 10**7, 2**61]:
-        sup_w, _, caps, _ = pair._tables(max_x)
-        m = len(sup_w)
-        for rows in [1, 2, 7, 100, 10000]:
-            budget = 16 * rows
-            s = _kernels._split_index(m, caps, rows)
-            assert 0 <= s <= m
-            size = sum(len(t) for t in _kernels._rank_tables(sup_w, caps, s))
-            assert size <= budget or s == 0
-            if s < m:  # the split is the largest one that fits
-                assert sum(len(t) for t in _kernels._rank_tables(sup_w, caps, s + 1)) > budget
+    assert pair._ranks is None
+    asked = 0
+    for max_x in [10**3, 10**7, 10**5, 2**61, 10**40]:
+        m = len(pair._tables(max_x)[0])
+        asked = max(asked, m)
+        tables = pair._rank_tables(m)
+        assert tables is pair._ranks
+        assert tables.level == min(asked, tables.max_level)
+        assert sum(map(len, tables.T)) <= _kernels._TABLE_ENTRIES
+        assert tables.sup_w[tables.level] < 2**62
+        assert all(np.all(t[:-1] < t[1:]) for t in tables.T)
+        assert max(int(t[-1]) for t in tables.T) < 2**62
+    assert tables.level == tables.max_level  # 10**40 asks past every bound
+    # the level is the largest one that fits: one more would break a bound
+    over = _kernels.RankTables(tables.sup_w, pair.sub.entries)
+    over.max_level += 1
+    over.grow(tables.level + 1)
+    assert (
+        sum(map(len, over.T)) > _kernels._TABLE_ENTRIES
+        or len(tables.sup_w) <= tables.level + 2
+        or max(int(t[-1]) for t in over.T) >= 2**62
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,8 +254,9 @@ def test_split_tables_stay_in_budget(sub, sup):
 def test_walk_matches_scalar_on_random_pairs(pair, xs, data):
     xs = np.array(xs, dtype=np.int64)
     sup_w, sup_caps, caps, sub_w = pair._tables(int(xs.max()))
-    s = data.draw(st.integers(0, len(sup_w)), label="s")
-    z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, s)
+    tables = pair._rank_tables(0)
+    s = data.draw(st.integers(0, min(len(sup_w), tables.max_level)), label="s")
+    z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, tables.grow(s))
     assert z.tolist() == [pair.count_expressible(int(x)) for x in xs]
     assert flags.tolist() == [is_member(pair.sub, pair.sup_num.encode(int(x))) for x in xs]
     assert pair.counts_at(xs).tolist() == z.tolist()
@@ -250,9 +273,59 @@ def test_object_walk_matches_scalar_on_random_pairs(pair, xs, ys, data):
     # sup values of sub members are expressible, so the flags see both answers
     xs = xs + [pair.sup_num.decode(pair.sub_num.encode(y)) for y in ys]
     sup_w, sup_caps, caps, sub_w = pair._tables(max(xs))
-    s = data.draw(st.integers(0, _kernels._split_index(len(sup_w), caps, len(xs))), label="s")
-    z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, s)
+    tables = pair._rank_tables(0)
+    s = data.draw(st.integers(0, tables.max_level), label="s")
+    z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, tables.grow(s))
     assert z.tolist() == [pair.count_expressible(x) for x in xs]
     assert flags.tolist() == [is_member(pair.sub, pair.sup_num.encode(x)) for x in xs]
     assert flags[-len(ys):].all()
     assert pair.counts_at(xs).tolist() == z.tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pair=nested_pairs(),
+    budget=st.sampled_from([3, 10, 60, 400, None]),  # 3: level 0 holds one entry per offset
+    calls=st.lists(
+        st.tuples(st.booleans(), st.integers(1, 12), st.integers(0, 10**12), st.integers(1, 120)),
+        min_size=1, max_size=6,
+    ),
+)
+def test_tables_grow_and_are_reused_across_calls(pair, budget, calls):
+    """Calls in any order of magnitude grow one pair's tables and reuse them; every answer stays exact.
+
+    A low entry budget stops the tables below the calls' top index, so the
+    sweep above the level runs as well as the pure lookup and the slice.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(_kernels, "_TABLE_ENTRIES", budget)
+        for is_mask, digits, seed, width in calls:
+            lo = seed % 10**digits
+            if is_mask:
+                # some ranges straddle the cached level's top weight
+                top = pair._ranks.level if pair._ranks is not None else 0
+                if seed % 3 == 0 and top:
+                    lo = max(0, pair.sup_num.weight(top + 1) - width // 2)
+                got = pair.expressible_mask(lo, lo + width).tolist()
+                assert got == [is_member(pair.sub, pair.sup_num.encode(n)) for n in range(lo, lo + width)]
+            else:
+                xs = [lo + 1 + (seed * k) % (width * 7 + 1) for k in range(width % 40 + 1)]
+                assert pair.counts_at(xs).tolist() == [pair.count_expressible(x) for x in xs]
+            tables = pair._ranks
+            assert sum(map(len, tables.T)) <= _kernels._TABLE_ENTRIES
+
+
+def test_import_and_pairs_build_no_tables():
+    """Importing the package and building pairs imports no numpy and builds no rank tables."""
+    code = (
+        "import sys\n"
+        "import zeckdual, zeckdual.cli\n"
+        f"pairs = [zeckdual.SystemPair(sub, sup) for sub, sup in {sorted(PAIR_RULES.values())!r}]\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "assert all(p._ranks is None for p in pairs), 'tables built'\n"
+    )
+    src = str(Path(zeckdual.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
