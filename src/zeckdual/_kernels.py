@@ -28,12 +28,12 @@ empty: the count is ``searchsorted(T_0, x)``, and the members in
 ``[lo, hi)`` are the slice of ``T_0`` between ``lo`` and ``hi``.
 
 A ``SystemPair`` keeps one ``RankTables`` and grows it on demand, one
-level at a time, to ``min(m, max_level)`` for a call whose top index is
-m.  ``max_level`` is the largest level whose tables hold at most
-``_TABLE_ENTRIES`` entries over all offsets together and whose sup weight
-of index ``L + 1`` and table entries stay below 2^62.  So a pair holds at
-most ``8 * _TABLE_ENTRIES`` bytes of tables (8 MB; a growth step briefly
-holds the level below as well), and a call's other arrays are O(rows).
+level at a time, toward m for a call whose top index is m.  Growth stops
+below a level whose tables would hold more than ``_TABLE_ENTRIES`` entries
+over all offsets together or an entry of 2^62 or more, or above which no
+sup weight below 2^62 is left.  So a pair holds at most
+``8 * _TABLE_ENTRIES`` bytes of tables (8 MB; a growth step briefly holds
+the level below as well), and a call's other arrays are O(rows).
 Every level gives the same answer: at 0 every table is ``[0]`` and the
 walk is the full column sweep.
 """
@@ -56,7 +56,7 @@ class RankTables:
 
     ``sup_w`` lists sup weights from index 1 on; only those below 2^62 are
     kept.  ``caps`` are the scan (sub) caps.  The tables start at level 0
-    and only ``grow`` builds them.
+    and only ``grow`` builds them, within the bounds in the module docstring.
     """
 
     def __init__(self, sup_w, caps):
@@ -64,47 +64,32 @@ class RankTables:
         self.caps = [int(c) for c in caps]
         self.level = 0
         self.T = [np.zeros(1, dtype=np.int64)] * len(self.caps)
-        self.max_level = self._max_level()
-
-    def _max_level(self) -> int:
-        """Largest level within ``_TABLE_ENTRIES`` entries whose sup weight above and entries stay below 2^62.
-
-        ``|T_o|`` at level L+1 is ``c_o |T_0| + |T_(o+1)|`` at level L, and
-        the largest entry of ``T_o`` is the largest of ``T_(o+1)`` plus
-        ``c_o`` times the new weight.
-        """
-        caps, N = self.caps, len(self.caps)
-        sizes, tops = [1] * N, [0] * N
-        level = 0
-        while level + 1 < len(self.sup_w):  # sup_w[level + 1] < 2^62 after growing
-            w = int(self.sup_w[level])
-            sizes = [c * sizes[0] + sizes[(o + 1) % N] for o, c in enumerate(caps)]
-            tops = [tops[(o + 1) % N] + c * w for o, c in enumerate(caps)]
-            if sum(sizes) > _TABLE_ENTRIES or max(tops) >= _INT64_SAFE:
-                break
-            level += 1
-        return level
 
     def grow(self, m: int) -> RankTables:
-        """Raise the level to ``min(m, max_level)``, one index at a time; never lowers it.
+        """Raise the level toward ``m``, one index at a time, until a bound stops it; never lowers it.
 
         The top digit d at the new index splits each table: below its cap d
         closes the block (any fresh string follows), at its cap the block
         stays open one offset further.  Each part lies below the next, so
-        writing them in order into one array keeps it sorted.
+        writing them in order into one array keeps it sorted: ``T_o`` grows
+        to ``c_o |T_0| + |T_(o+1)|`` entries, the largest ``c_o w`` above
+        that of ``T_(o+1)``.
         """
-        N = len(self.caps)
-        while self.level < min(m, self.max_level):
-            w = self.sup_w[self.level]
-            fresh = self.T[0]
-            n = len(fresh)
+        caps = self.caps
+        while self.level < m and self.level + 1 < len(self.sup_w):
+            w = int(self.sup_w[self.level])
+            fresh, n = self.T[0], len(self.T[0])
+            tails = self.T[1:] + self.T[:1]  # T_(o+1) for each offset o
+            sizes = [c * n + len(tail) for c, tail in zip(caps, tails)]
+            top = max(int(tail[-1]) + c * w for c, tail in zip(caps, tails))
+            if sum(sizes) > _TABLE_ENTRIES or top >= _INT64_SAFE:
+                break
             grown = []
-            for o, c in enumerate(self.caps):
-                tail = self.T[(o + 1) % N]
+            for c, tail, size in zip(caps, tails, sizes):
                 if not c:  # no fresh part, and the open part is unshifted
                     grown.append(tail)
                     continue
-                t = np.empty(c * n + len(tail), dtype=np.int64)
+                t = np.empty(size, dtype=np.int64)
                 for d in range(c):
                     np.add(fresh, d * w, out=t[d * n:(d + 1) * n])
                 np.add(tail, c * w, out=t[c * n:])

@@ -60,14 +60,14 @@ def is_subcollection(sub: DigitRule, sup: DigitRule, depth: int | None = None) -
 class SystemPair:
     """A validated nested pair with both weight sequences attached."""
 
-    def __init__(self, sub, sup, depth: int | None = None):
+    def __init__(self, sub, sup):
         sub = sub if isinstance(sub, DigitRule) else DigitRule(tuple(sub))
         sup = sup if isinstance(sup, DigitRule) else DigitRule(tuple(sup))
         if same_collection(sub, sup):
             raise SubcollectionError(
                 f"rules {sub} and {sup} generate the same collection; the pair must be proper"
             )
-        if not is_subcollection(sub, sup, depth):
+        if not is_subcollection(sub, sup):
             raise SubcollectionError(f"rule {sub} is not nested inside {sup}")
         self.sub = sub
         self.sup = sup
@@ -132,7 +132,7 @@ class SystemPair:
         )
 
     def _rank_tables(self, m: int):
-        """The pair's rank tables, grown to level ``min(m, max_level)``; the first call creates them."""
+        """The pair's rank tables, grown toward level ``m`` within their bounds; the first call creates them."""
         from . import _kernels
 
         if self._ranks is None:

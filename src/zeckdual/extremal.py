@@ -286,6 +286,13 @@ def _first_serialized(tied) -> StarCandidate:
 
 @dataclass(frozen=True)
 class ExtremalReport:
+    """The extremes of the ratio functional and the envelope they scale to.
+
+    The maximum comes from the walk over every candidate; the minimum is
+    read off ``1:1`` (see ``extremes``), so ``liminf`` is
+    alpha / alpha_sup**gamma times its score.
+    """
+
     max_candidate: StarCandidate
     min_candidate: StarCandidate
     delta_max: float
@@ -312,9 +319,14 @@ def extremes(pair: SystemPair, consts: SpectralConstants | None = None) -> Extre
     walk string on [1, tail - 1] whose blocks have all closed, first digit >= 1
     (the pure tail included).  Finite candidates: walk strings of length
     p_dagger - 1 with first digit >= 1.  The extremes over this list
-    scale to the lim sup / lim inf of the counting ratio.  Only the extremes
-    and their tied strings are kept; ``all_candidates`` walks again on first
+    scale to the lim sup / lim inf of the counting ratio.  Only the maximum
+    and its tied strings are kept; ``all_candidates`` walks again on first
     read.
+
+    The minimum needs no search.  For 0 < gamma < 1 the map t -> t**gamma is
+    subadditive and omega_sup**gamma == omega, so every candidate has
+    D**gamma <= N, with equality only for a single 1 at index 1.  So the
+    minimum is ``1:1``, scored with ``_ratio`` as the walk would score it.
     """
     if consts is None:
         consts = derived_constants(pair)
@@ -337,22 +349,19 @@ def extremes(pair: SystemPair, consts: SpectralConstants | None = None) -> Extre
             f"finite strings of length {span})"
         )
 
-    vmax, vmin = -math.inf, math.inf
-    tied_max, tied_min = [], []
+    vmax, tied = -math.inf, []
     for digits, ti, v in _scored_strings(rule, consts):
         if v >= vmax:
             if v > vmax:
-                vmax, tied_max = v, []
-            tied_max.append((digits, ti))
-        if v <= vmin:
-            if v < vmin:
-                vmin, tied_min = v, []
-            tied_min.append((digits, ti))
+                vmax, tied = v, []
+            tied.append((digits, ti))
+    unit = StarCandidate(DigitVector({1: 1}))
+    vmin = _ratio(unit, consts)
     scale = consts.alpha / consts.alpha_sup**consts.gamma
     return ExtremalReport(
         # ties resolved by ascending serialization so reports are stable
-        max_candidate=_first_serialized(tied_max),
-        min_candidate=_first_serialized(tied_min),
+        max_candidate=_first_serialized(tied),
+        min_candidate=unit,
         delta_max=vmax,
         delta_min=vmin,
         limsup=scale * vmax,

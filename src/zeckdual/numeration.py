@@ -108,36 +108,28 @@ class Numeration:
     def members_below(self, max_value: int):
         """Yield ``(vector, value)`` for every member with value < max_value, ascending.
 
-        The walk places digits top down and runs the block scan as it goes:
-        a digit over the cap at the current offset fails every extension,
-        so it is never placed, and a prefix whose value reaches
-        ``max_value`` is dropped.  Every leaf is still checked with
-        ``is_member``.
+        The walk places digits top down, smallest first, and runs the block
+        scan as it goes: a digit over the cap at the current offset fails
+        every extension, so it is never placed, and a prefix whose value
+        reaches ``max_value`` is dropped.  Member order is value order, so
+        each leaf is yielded as the walk reaches it, after an ``is_member``
+        check.
         """
         if max_value <= 0:
             return
-        top = self.top_index(max_value - 1)
-        out = []
-
-        def walk(idx, acc, off, digits):
+        # (index still to place, value so far, block offset, placed (index, digit) pairs)
+        stack = [(self.top_index(max_value - 1), 0, 0, ())]
+        while stack:
+            idx, acc, off, digits = stack.pop()
             if idx == 0:
                 vec = DigitVector(digits)
                 if is_member(self.rule, vec):
-                    out.append((vec, acc))
-                return
+                    yield vec, acc
+                continue
             w = self._w[idx - 1]
             cap = self.rule.cap(off)
-            v = acc
-            for d in range(cap + 1):
-                if v >= max_value:
-                    break
-                if d:
-                    digits[idx] = d
-                # below the cap the block closes, at the cap it stays open
-                walk(idx - 1, v, off + 1 if d == cap else 0, digits)
-                v += w
-            digits.pop(idx, None)
-
-        walk(top, 0, 0, {})
-        out.sort(key=lambda t: t[1])
-        yield from out
+            # push the largest digit first, so the smallest is walked first;
+            # below the cap the block closes, at the cap it stays open
+            for d in range(min(cap, (max_value - 1 - acc) // w), -1, -1):
+                placed = digits + ((idx, d),) if d else digits
+                stack.append((idx - 1, acc + d * w, off + 1 if d == cap else 0, placed))

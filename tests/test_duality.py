@@ -38,6 +38,9 @@ def test_pair_validation():
         SystemPair((1, 2, 1), (1, 3))
     with pytest.raises(SubcollectionError):
         SystemPair((1, 0), (1, 0, 1, 0))  # same collection, not a proper pair
+    # a shallow depth would accept a pair that is not nested
+    with pytest.raises(TypeError):
+        SystemPair((1, 2, 1), (1, 3), depth=2)
     pair = SystemPair((1, 0), (1, 1))
     assert pair.sub.entries == (1, 0)
     assert pair.sup.entries == (1, 1)

@@ -220,8 +220,8 @@ def test_generic_upper_bound(name, pairs, constants):
 def test_delta_min_at_least_one(name, pairs, constants):
     report = extremes(pairs[name], constants[name])
     assert report.delta_min >= 1.0 - 1e-12
-    if constants[name].p <= 2:
-        assert report.delta_min == pytest.approx(1.0, abs=1e-12)
+    assert report.min_candidate.serialize() == "1:1"
+    assert report.delta_min == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_RULES))

@@ -177,6 +177,11 @@ def test_kernels_enabled_reports_dispatch():
 SPLIT_PAIRS = sorted(PAIR_RULES.values()) + [((2, 0, 0), (2, 3, 0)), ((1, 1, 0), (1, 1))]
 
 
+def _top_level(sup_w, caps, m=None):
+    """The level a throwaway table reaches when asked for ``m`` (default: past every bound)."""
+    return _kernels.RankTables(sup_w, caps).grow(len(sup_w) if m is None else m).level
+
+
 @pytest.mark.parametrize("sub,sup", SPLIT_PAIRS)
 def test_walk_every_split(sub, sup):
     """Every level, from the full sweep (0) to a pure rank lookup (m), gives the scalar answers."""
@@ -186,7 +191,7 @@ def test_walk_every_split(sub, sup):
     counts = [pair.count_expressible(int(x)) for x in xs]
     member = [is_member(pair.sub, pair.sup_num.encode(int(x))) for x in xs]
     tables = pair._rank_tables(0)
-    assert tables.max_level >= len(sup_w)
+    assert _top_level(tables.sup_w, caps) >= len(sup_w)
     for s in range(len(sup_w) + 1):
         assert tables.grow(s).level == s
         z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, tables)
@@ -214,7 +219,7 @@ def test_object_walk_every_split(sub, sup):
         counts = [pair.count_expressible(x) for x in xs]
         member = [is_member(pair.sub, pair.sup_num.encode(x)) for x in xs]
         tables = _kernels.RankTables(sup_w, caps)
-        for s in range(tables.max_level + 1):
+        for s in range(_top_level(sup_w, caps) + 1):
             z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, tables.grow(s))
             assert z.tolist() == counts, s
             assert flags.tolist() == member, s
@@ -232,21 +237,19 @@ def test_rank_tables_stay_in_budget(sub, sup):
         asked = max(asked, m)
         tables = pair._rank_tables(m)
         assert tables is pair._ranks
-        assert tables.level == min(asked, tables.max_level)
+        assert tables.level == _top_level(tables.sup_w, pair.sub.entries, asked)
         assert sum(map(len, tables.T)) <= _kernels._TABLE_ENTRIES
         assert tables.sup_w[tables.level] < 2**62
         assert all(np.all(t[:-1] < t[1:]) for t in tables.T)
         assert max(int(t[-1]) for t in tables.T) < 2**62
-    assert tables.level == tables.max_level  # 10**40 asks past every bound
+    assert tables.level < asked  # 10**40 asks past every bound
     # the level is the largest one that fits: one more would break a bound
-    over = _kernels.RankTables(tables.sup_w, pair.sub.entries)
-    over.max_level += 1
-    over.grow(tables.level + 1)
-    assert (
-        sum(map(len, over.T)) > _kernels._TABLE_ENTRIES
-        or len(tables.sup_w) <= tables.level + 2
-        or max(int(t[-1]) for t in over.T) >= 2**62
-    )
+    T, caps, N = tables.T, pair.sub.entries, len(pair.sub.entries)
+    if len(tables.sup_w) > tables.level + 1:  # else no kept sup weight lies above the next level
+        w = int(tables.sup_w[tables.level])
+        entries = sum(c * len(T[0]) + len(T[(o + 1) % N]) for o, c in enumerate(caps))
+        top = max(int(T[(o + 1) % N][-1]) + c * w for o, c in enumerate(caps))
+        assert entries > _kernels._TABLE_ENTRIES or top >= 2**62
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,7 +258,7 @@ def test_walk_matches_scalar_on_random_pairs(pair, xs, data):
     xs = np.array(xs, dtype=np.int64)
     sup_w, sup_caps, caps, sub_w = pair._tables(int(xs.max()))
     tables = pair._rank_tables(0)
-    s = data.draw(st.integers(0, min(len(sup_w), tables.max_level)), label="s")
+    s = data.draw(st.integers(0, _top_level(tables.sup_w, caps, len(sup_w))), label="s")
     z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, tables.grow(s))
     assert z.tolist() == [pair.count_expressible(int(x)) for x in xs]
     assert flags.tolist() == [is_member(pair.sub, pair.sup_num.encode(int(x))) for x in xs]
@@ -274,7 +277,7 @@ def test_object_walk_matches_scalar_on_random_pairs(pair, xs, ys, data):
     xs = xs + [pair.sup_num.decode(pair.sub_num.encode(y)) for y in ys]
     sup_w, sup_caps, caps, sub_w = pair._tables(max(xs))
     tables = pair._rank_tables(0)
-    s = data.draw(st.integers(0, tables.max_level), label="s")
+    s = data.draw(st.integers(0, _top_level(tables.sup_w, caps)), label="s")
     z, flags = _kernels._walk(xs, sup_w, sup_caps, caps, sub_w, tables.grow(s))
     assert z.tolist() == [pair.count_expressible(x) for x in xs]
     assert flags.tolist() == [is_member(pair.sub, pair.sup_num.encode(x)) for x in xs]

@@ -122,6 +122,22 @@ def test_members_below_small_cases():
     assert list(fib.members_below(0)) == []
 
 
+def test_members_below_yields_as_it_walks(monkeypatch):
+    """The first member comes out after one leaf check, not after the whole walk."""
+    import zeckdual.numeration as numeration
+
+    calls = []
+
+    def counted(rule, vec):
+        calls.append(vec)
+        return is_member(rule, vec)
+
+    monkeypatch.setattr(numeration, "is_member", counted)
+    first = next(Numeration(DigitRule((1, 0))).members_below(10**4))
+    assert first == (DigitVector(), 0)
+    assert len(calls) <= 1
+
+
 @pytest.mark.parametrize("entries", [(2, 3, 0), (2, 0, 1), (10, 4), (1, 1, 0)])
 def test_members_below_bijection(entries):
     """Exhaustive enumeration realizes the bijection with 0..499, no gaps or repeats."""
