@@ -27,6 +27,13 @@ When every x lies below the sup weight of index ``L + 1`` the sweep is
 empty: the count is ``searchsorted(T_0, x)``, and the members in
 ``[lo, hi)`` are the slice of ``T_0`` between ``lo`` and ``hi``.
 
+Both lookups search the rows in key order (``_ranks``): the keys are
+sorted, searched, and their ranks put back in the rows' order and shape.
+Random keys over a large table miss the cache on almost every search;
+sorted ones walk the table forward.  Where the keys are at least as many
+as the table's entries the table stays in cache anyway, and the keys are
+searched as they come.
+
 A ``SystemPair`` keeps one ``RankTables`` and grows it on demand, one
 level at a time, toward m for a call whose top index is m.  Growth stops
 below a level whose tables would hold more than ``_TABLE_ENTRIES`` entries
@@ -136,13 +143,25 @@ def digit_matrix(xs, weights, caps):
     return out
 
 
+def _ranks(table, keys):
+    """``searchsorted(table, keys)`` in the keys' shape; keys fewer than the entries are searched in sorted order."""
+    if keys.size >= len(table):
+        return np.searchsorted(table, keys)
+    flat = keys.ravel()
+    order = np.argsort(flat)
+    rank = np.empty_like(order)
+    rank[order] = np.searchsorted(table, flat[order])
+    return rank.reshape(keys.shape)
+
+
 def _walk(xs, sup_w, sup_caps, caps, sub_w, tables):
     """Top sweep over indices ``m..level+1``, then one rank lookup per row in ``tables``.
 
     Returns ``(counts, flags)``: the expressible count below each x and
     whether x itself is expressible.  ``counts`` is None when ``sub_w`` is
     None.  The tables must be over the same sup weights and ``caps``; any
-    level gives the same answer.
+    level gives the same answer.  Each lookup (``_ranks``) searches its
+    rows in key order when they are fewer than the table's entries.
     """
     sup_w = np.asarray(sup_w)
     count = sub_w is not None
@@ -150,7 +169,7 @@ def _walk(xs, sup_w, sup_caps, caps, sub_w, tables):
     if len(sup_w) <= s:  # every x is below the tables' top: one lookup in T_0
         T = tables.T[0]
         r = np.asarray(xs, dtype=np.int64)
-        rank = np.searchsorted(T, r)
+        rank = _ranks(T, r)
         return (rank if count else None), T[np.minimum(rank, len(T) - 1)] == r
     sup_caps = np.asarray(sup_caps, dtype=np.int64)
     caps = np.asarray(caps, dtype=np.int64)
@@ -189,7 +208,7 @@ def _walk(xs, sup_w, sup_caps, caps, sub_w, tables):
         rows = np.flatnonzero(alive & (off == o))
         if not len(rows):
             continue
-        rank = np.searchsorted(table, r[rows])
+        rank = _ranks(table, r[rows])
         flags[rows] = table[np.minimum(rank, len(table) - 1)] == r[rows]
         if count:
             z[rows] = done[rows] + cur[rows] + rank

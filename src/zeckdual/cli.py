@@ -255,6 +255,7 @@ def cmd_verify(args) -> int:
     except SubcollectionError as e:
         print(f"subcollection: FAIL ({e})", file=sys.stderr)
         return 1
+    consts = derived_constants(pair)  # a pair it refuses fails here, before the O(max_x) scans
     ok = True
 
     def report(name, good, detail=""):
@@ -320,7 +321,6 @@ def cmd_verify(args) -> int:
 
     report("generating_identity", generating_identity_check(pair.sub, 50), "degree 50")
 
-    consts = derived_constants(pair)
     m = measure_check(pair, consts, 200) + measure_tail_bound(consts, 200)
     report("measure", abs(m - 1.0) < 1e-6, f"partial+tail={fmt(m, args.float_digits)}")
 

@@ -391,6 +391,20 @@ def test_verify_rejects_same_collection(capsys):
     assert "subcollection: FAIL" in err
 
 
+def test_verify_refuses_unseparated_pair_before_scanning(capsys, monkeypatch):
+    """A pair whose constants ``derived_constants`` refuses exits 2 before any check runs."""
+
+    def no_scan(self, xs):
+        raise AssertionError("verify scanned a pair it refuses")
+
+    monkeypatch.setattr(SystemPair, "counts_at", no_scan)
+    argv = ["verify", "--sub", "9,9,9,9,9,9,9,9,9,9,9,9,9,8", "--super", "9,9", "--max-x", "20000"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "not separated in double precision" in err
+
+
 def test_non_verify_pair_error_is_usage(capsys):
     code, _, err = run(capsys, ["count", "--sub", "1,2,1", "--super", "1,3", "--x", "10"])
     assert code == 2

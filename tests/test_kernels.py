@@ -85,6 +85,83 @@ def test_counts_at_cumsum_identity(pair):
     assert np.array_equal(counts, np.cumsum(mask))
 
 
+@pytest.fixture
+def branches(monkeypatch):
+    """Record, for every rank lookup, whether its keys were fewer than the table's entries (the sorted branch)."""
+    seen = []
+    ranks = _kernels._ranks
+
+    def recorded(table, keys):
+        seen.append(np.size(keys) < len(table))
+        return ranks(table, keys)
+
+    monkeypatch.setattr(_kernels, "_ranks", recorded)
+    return seen
+
+
+def _assert_order_free(pair, keys, sample):
+    """A shuffled list, its reverse and its sorted form give the same count per x; ``sample`` is checked exactly."""
+    out = pair.counts_at(keys).tolist()
+    assert pair.counts_at(keys[::-1]).tolist() == out[::-1]
+    by_x = dict(zip(sorted(keys), pair.counts_at(sorted(keys)).tolist()))
+    assert out == [by_x[x] for x in keys]
+    assert [by_x[x] for x in sample] == [pair.count_expressible(x) for x in sample]
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_RULES))
+def test_lookup_order_does_not_change_counts_below_the_top(name, branches):
+    """Below the tables' top every row is one lookup in ``T_0``, whatever the order or number of keys."""
+    pair = SystemPair(*PAIR_RULES[name])
+    pair.counts_at([5000])
+    level = pair._ranks.level
+    T = pair._ranks.T[0]
+    top = pair.sup_num.weight(level + 1)  # every x below it is one lookup
+    edges = [x for x in (1, 2, top - 2, top - 1) if x >= 1]
+    pool = np.concatenate([T[1:], T[1:] - 1, T[1:] + 1, edges])
+    pool = pool[(pool >= 1) & (pool < top)]
+    rng = np.random.default_rng(len(T))
+    for size in (5, 40, len(T) + 17):  # fewer keys than entries, then more
+        keys = rng.choice(pool, size=size).tolist() + edges
+        assert len(pair._tables(max(keys))[0]) <= pair._ranks.level
+        sample = sorted(set(keys))[:: max(1, len(set(keys)) // 40)] + edges
+        _assert_order_free(pair, keys, sample)
+    assert pair._ranks.level == level
+    assert set(branches) == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_RULES))
+def test_lookup_order_does_not_change_counts_above_the_top(name, branches):
+    """Above the tables' top each offset's rows are one lookup in ``T_o`` after the sweep."""
+    pair = SystemPair(*PAIR_RULES[name])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_TABLE_ENTRIES", 400)
+        rng = np.random.default_rng(17)
+        num = pair.sup_num
+        members = [num.decode(pair.ceil_member(num.encode(int(x)))) for x in rng.integers(10**5, 10**7, 30)]
+        pool = np.concatenate([members, np.add(members, 1), np.subtract(members, 1), rng.integers(1, 10**7, 30)])
+        for size in (6, 40, 2000):  # fewer rows per offset than its entries, then more
+            keys = rng.choice(pool, size=size).tolist()
+            _assert_order_free(pair, keys, sorted(set(keys))[:: max(1, len(set(keys)) // 40)])
+            assert pair._ranks.level < len(pair._tables(max(keys))[0])
+    assert set(branches) == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_RULES))
+def test_counts_at_keeps_the_shape_of_a_2d_array(name, branches):
+    pair = SystemPair(*PAIR_RULES[name])
+    pair.counts_at([10**6])  # tables well past the keys, so the small array takes the sorted branch
+    small = np.array([[5, 9], [3, 4]], dtype=np.int64)
+    large = np.arange(1, 3 * len(pair._ranks.T[0]) + 1, dtype=np.int64).reshape(3, -1)[:, ::-1]
+    for xs in (small, large):
+        out = pair.counts_at(xs)
+        assert out.shape == xs.shape
+        assert out.ravel().tolist() == pair.counts_at(xs.ravel().tolist()).tolist()
+    assert pair.counts_at(small).tolist() == [[pair.count_expressible(int(x)) for x in row] for row in small]
+    if name == "binary":
+        assert pair.counts_at(small).tolist() == [[4, 6], [3, 3]]
+    assert set(branches) == {True, False}
+
+
 def test_expressible_mask_matches_exact(pair):
     lo, hi = 137, 642
     mask = pair.expressible_mask(lo, hi)
