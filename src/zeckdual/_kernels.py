@@ -28,7 +28,7 @@ empty: the count is ``searchsorted(T_0, x)``, and the members in
 ``[lo, hi)`` are the slice of ``T_0`` between ``lo`` and ``hi``.
 
 Both lookups search the rows in key order (``_ranks``): the keys are
-sorted, searched, and their ranks put back in the rows' order and shape.
+sorted, searched, and their ranks put back in the rows' order.
 Random keys over a large table miss the cache on almost every search;
 sorted ones walk the table forward.  Where the keys are at least as many
 as the table's entries the table stays in cache anyway, and the keys are
@@ -144,14 +144,13 @@ def digit_matrix(xs, weights, caps):
 
 
 def _ranks(table, keys):
-    """``searchsorted(table, keys)`` in the keys' shape; keys fewer than the entries are searched in sorted order."""
-    if keys.size >= len(table):
+    """``searchsorted(table, keys)`` for 1-D keys; keys fewer than the entries are searched in sorted order."""
+    if len(keys) >= len(table):
         return np.searchsorted(table, keys)
-    flat = keys.ravel()
-    order = np.argsort(flat)
+    order = np.argsort(keys)
     rank = np.empty_like(order)
-    rank[order] = np.searchsorted(table, flat[order])
-    return rank.reshape(keys.shape)
+    rank[order] = np.searchsorted(table, keys[order])
+    return rank
 
 
 def _walk(xs, sup_w, sup_caps, caps, sub_w, tables):

@@ -143,7 +143,9 @@ class SystemPair:
     def counts_at(self, xs):
         """``count_expressible`` for every x in xs (ints >= 1, or an integer ndarray).
 
-        int64 below 2**62, Python ints above.  The first call on a pair
+        int64 below 2**62, Python ints above.  A ``range`` is taken as
+        ``np.arange`` when its elements fit int64.  The result has the
+        shape of xs.  The first call on a pair
         builds its rank tables up to the call's top index (at most 8 MB);
         later calls reuse them and grow them only for larger x.  For a
         single x, ``count_expressible`` avoids that build."""
@@ -153,21 +155,31 @@ class SystemPair:
 
         if iter(xs) is xs:  # a one-shot iterator has no length; read it once
             xs = list(xs)
+        shape = None
         if isinstance(xs, np.ndarray):
             if xs.dtype.kind not in "iuO":
                 raise TypeError(f"counts_at needs integers, got dtype {xs.dtype}")
+            shape, xs = xs.shape, xs.ravel()  # the kernel walks a 1-D array
             xs = xs if np.can_cast(xs.dtype, np.int64) else xs.tolist()  # uint64 would wrap
         try:
-            arr = np.asarray(xs, dtype=np.int64)
+            if isinstance(xs, range):
+                if xs and not -(1 << 63) <= xs[-1] < 1 << 63:
+                    raise OverflowError  # arange would wrap where asarray raises
+                arr = np.arange(xs.start, xs.stop, xs.step, dtype=np.int64)
+            else:
+                arr = np.asarray(xs, dtype=np.int64)
         except OverflowError:
             arr = np.array([operator.index(x) for x in xs], dtype=object)
+        if shape is None:
+            shape = arr.shape  # a list keeps the shape asarray reads from it
+        arr = arr.ravel()
         if not len(arr):
-            return np.zeros(0, dtype=np.int64)
+            return np.zeros(shape, dtype=np.int64)
         if arr.min() < 1:
             raise ValueError("count needs x >= 1")
         sup_w, sup_caps, caps, sub_w = self._tables(int(arr.max()))
         tables = self._rank_tables(len(sup_w))
-        return _kernels.dual_counts(arr, sup_w, sup_caps, caps, sub_w, tables)
+        return _kernels.dual_counts(arr, sup_w, sup_caps, caps, sub_w, tables).reshape(shape)
 
     def expressible_mask(self, lo: int, hi: int):
         """Boolean array over n in [lo, hi): sup-expansion is a sub member.

@@ -162,6 +162,46 @@ def test_counts_at_keeps_the_shape_of_a_2d_array(name, branches):
     assert set(branches) == {True, False}
 
 
+@pytest.mark.parametrize("name", sorted(PAIR_RULES))
+def test_counts_at_keeps_the_shape_above_the_tables_top(name):
+    """2-D arrays above the rank tables' top, on int64 and on Python ints past 2^62."""
+    pair = SystemPair(*PAIR_RULES[name])
+    for xs in (
+        np.array([[5, 9], [3, 2**40]], dtype=np.int64),
+        np.array([[5, 2**70], [2**62 + 3, 2**63 + 1], [1, 17]], dtype=object),
+    ):
+        out = pair.counts_at(xs)
+        assert out.shape == xs.shape
+        assert out.tolist() == [[pair.count_expressible(int(x)) for x in row] for row in xs]
+
+
+RANGES = [
+    range(1, 300),
+    range(5, 4000, 7),
+    range(2999, 0, -13),
+    range(40, 40),
+    range(2**62 - 20, 2**62 + 20, 3),
+    range(2**63 - 9, 2**63 + 9, 2),  # arange would wrap these past int64
+    range(2**63 + 1, 2**63 + 40, 5),
+]
+
+
+@pytest.mark.parametrize("xs", RANGES, ids=str)
+def test_counts_at_takes_a_range_like_its_list(pair, xs):
+    got, want = pair.counts_at(xs), pair.counts_at(list(xs))
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    if xs:
+        assert got[-1] == pair.count_expressible(xs[-1])
+
+
+def test_counts_at_refuses_a_range_from_zero(pair):
+    with pytest.raises(ValueError):
+        pair.counts_at(range(0, 10))
+    with pytest.raises(ValueError):
+        pair.counts_at(range(10, -1, -1))
+
+
 def test_expressible_mask_matches_exact(pair):
     lo, hi = 137, 642
     mask = pair.expressible_mask(lo, hi)
