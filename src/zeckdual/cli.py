@@ -7,17 +7,11 @@ constants of a pair), ``extremes`` (candidate table and limit bounds),
 CDF of a scan), ``verify`` (oracle suite).  Data goes to stdout,
 diagnostics to stderr; exit codes: 0 ok, 1 verification failure, 2 usage
 error.  Output is byte-deterministic for identical invocations.
-
-A process builds its argument parser once, on the first ``main`` call, and
-keeps the pair of its last command: consecutive commands on one pair share
-its ``SystemPair``, rank tables and weight caches.  Only one pair is kept,
-so the memory held stays within one pair's table budget.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -59,14 +53,8 @@ def _parse_rule(text: str) -> DigitRule:
     return DigitRule.parse(text)
 
 
-@functools.lru_cache(maxsize=1)
-def _pair(sub: str, sup: str) -> SystemPair:
-    """The pair of the raw ``--sub``/``--super`` strings; a refused pair is not kept and raises again."""
-    return SystemPair(_parse_rule(sub), _parse_rule(sup))
-
-
 def _make_pair(args) -> SystemPair:
-    return _pair(args.sub, args.sup)
+    return SystemPair(_parse_rule(args.sub), _parse_rule(args.sup))
 
 
 def _add_pair_args(sp) -> None:
@@ -162,16 +150,23 @@ def cmd_scan(args) -> int:
     while x < hi:
         top = min(hi, x + _CHUNK * step)
         xs = range(x, top, step)
-        cells = []
-        for xi, zi in zip(xs, pair.counts_at(xs).tolist()):
-            try:
-                ratio = float(zi) / float(xi) ** gamma
-            except OverflowError:  # x past the float range; math.log takes any int
-                ratio = math.exp(math.log(zi) - gamma * math.log(xi))
-            cells += (xi, zi, ratio)
+        zs = pair.counts_at(xs).tolist()
+        try:  # int / float and int ** float convert the ints as float() does
+            ratios = [zi / xi**gamma for xi, zi in zip(xs, zs)]
+        except OverflowError:  # rows past the float range
+            ratios = [_ratio(xi, zi, gamma) for xi, zi in zip(xs, zs)]
+        cells = [None] * (3 * len(xs))
+        cells[0::3], cells[1::3], cells[2::3] = xs, zs, ratios
         write((row * len(xs)) % tuple(cells))
         x = top
     return 0
+
+
+def _ratio(x: int, z: int, gamma: float) -> float:
+    try:
+        return float(z) / float(x) ** gamma
+    except OverflowError:  # x past the float range; math.log takes any int
+        return math.exp(math.log(z) - gamma * math.log(x))
 
 
 def _stats_emit(ratios_min, ratios_max, counts, total, digits) -> None:
@@ -345,42 +340,47 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # --help leaves out the docstring's last paragraph, which is about the process
-    parser = argparse.ArgumentParser(prog="zeckdual", description=__doc__.rpartition("\n\n")[0])
+    parser = argparse.ArgumentParser(prog="zeckdual", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("expand", help="greedy digit expansion of an integer")
     sp.add_argument("--list", required=True, help="rule list, e.g. 1,0")
     sp.add_argument("n", type=int)
+    sp.set_defaults(func=cmd_expand)
 
     sp = sub.add_parser("count", help="count expressible integers below x")
     _add_pair_args(sp)
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--brute", action="store_true", help="count by scanning every n")
+    sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("info", help="scalar constants of a pair")
     _add_pair_args(sp)
     sp.add_argument("--json", action="store_true")
+    sp.set_defaults(func=cmd_info)
 
     sp = sub.add_parser("extremes", help="extremal candidate table and limit bounds")
     _add_pair_args(sp)
     sp.add_argument("--json", action="store_true")
+    sp.set_defaults(func=cmd_extremes)
 
     sp = sub.add_parser("scan", help="CSV stream of x,z,ratio")
     _add_pair_args(sp)
     sp.add_argument("--from", dest="from_", type=int, required=True)
     sp.add_argument("--to", type=int, required=True)
     sp.add_argument("--step", type=int, default=1)
+    sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("stats", help="histogram and CDF of scan ratios")
     sp.add_argument("csvfile", nargs="?", default="-", help="scan CSV path, or - for stdin")
     sp.add_argument("--bins", type=int, default=200)
+    sp.set_defaults(func=cmd_stats)
 
     sp = sub.add_parser("verify", help="oracle suite for one pair")
     _add_pair_args(sp)
     sp.add_argument("--max-x", dest="max_x", type=int, required=True)
+    sp.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -394,9 +394,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.float_digits = _float_digits()  # read once: the environment lookup is slow per row
-        # by name on every call: a kept parser holding the functions would
-        # keep calling whichever cmd_* existed when it was built
-        return globals()[f"cmd_{args.command}"](args)
+        return args.func(args)
     except SubcollectionError as e:
         if args.command == "verify":
             print(f"subcollection: FAIL ({e})", file=sys.stderr)

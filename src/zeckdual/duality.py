@@ -155,11 +155,9 @@ class SystemPair:
 
         if iter(xs) is xs:  # a one-shot iterator has no length; read it once
             xs = list(xs)
-        shape = None
         if isinstance(xs, np.ndarray):
             if xs.dtype.kind not in "iuO":
                 raise TypeError(f"counts_at needs integers, got dtype {xs.dtype}")
-            shape, xs = xs.shape, xs.ravel()  # the kernel walks a 1-D array
             xs = xs if np.can_cast(xs.dtype, np.int64) else xs.tolist()  # uint64 would wrap
         try:
             if isinstance(xs, range):
@@ -169,10 +167,9 @@ class SystemPair:
             else:
                 arr = np.asarray(xs, dtype=np.int64)
         except OverflowError:
-            arr = np.array([operator.index(x) for x in xs], dtype=object)
-        if shape is None:
-            shape = arr.shape  # a list keeps the shape asarray reads from it
-        arr = arr.ravel()
+            obj = np.array(xs, dtype=object)  # a nested list keeps its shape
+            arr = np.array([operator.index(x) for x in obj.ravel()], dtype=object).reshape(obj.shape)
+        shape, arr = arr.shape, arr.ravel()  # the kernel walks a 1-D array
         if not len(arr):
             return np.zeros(shape, dtype=np.int64)
         if arr.min() < 1:

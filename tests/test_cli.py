@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 
@@ -445,67 +446,6 @@ def test_scan_golden_output(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN[name]
 
 
-def _scan(capsys, name):
-    sub, sup = (",".join(map(str, r)) for r in PAIR_RULES[name])
-    code, out, _ = run(capsys, ["scan", "--sub", sub, "--super", sup, "--from", "1", "--to", "3000", "--step", "7"])
-    assert code == 0
-    return hashlib.sha256(out.encode()).hexdigest()
-
-
-def test_kept_pair_does_not_change_scans(capsys):
-    """``main`` keeps only the last pair; switching pairs and back prints the same bytes."""
-    for name in ("binary", "third", "binary", "binary", "nonbase", "binary"):
-        assert _scan(capsys, name) == SCAN_GOLDEN[name]
-
-
-def test_main_builds_the_parser_and_the_pair_once(capsys, monkeypatch):
-    built = []
-    init = SystemPair.__init__
-
-    def counted(self, sub, sup):
-        built.append((sub, sup))
-        init(self, sub, sup)
-
-    _scan(capsys, "third")  # the kept pair is now another one
-    monkeypatch.setattr(SystemPair, "__init__", counted)
-    cli.build_parser.cache_clear()
-    assert _scan(capsys, "binary") == _scan(capsys, "binary") == SCAN_GOLDEN["binary"]
-    assert built == [(DigitRule((1, 0)), DigitRule((1, 1)))]
-    assert cli.build_parser.cache_info().misses == 1
-
-
-def test_main_runs_the_command_bound_at_call_time(capsys, monkeypatch):
-    """A command replaced after the parser was built is the one that runs."""
-    assert _scan(capsys, "binary") == SCAN_GOLDEN["binary"]
-
-    def fake_scan(args):
-        print("replaced")
-        return 0
-
-    monkeypatch.setattr(cli, "cmd_scan", fake_scan)
-    assert run(capsys, ["scan", *BINARY, "--from", "1", "--to", "3"]) == (0, "replaced\n", "")
-
-
-def test_refused_pair_fails_on_every_call(capsys):
-    """A refused pair is never kept, so it gives its exit code each time."""
-    assert _scan(capsys, "binary") == SCAN_GOLDEN["binary"]
-    for _ in range(3):
-        code, out, err = run(capsys, ["scan", "--sub", "1,2,1", "--super", "1,3", "--from", "1", "--to", "9"])
-        assert (code, out) == (2, "") and "error:" in err
-        code, out, err = run(capsys, ["verify", "--sub", "1,0", "--super", "1,0,1,0", "--max-x", "100"])
-        assert (code, out) == (1, "") and "subcollection: FAIL" in err
-    assert _scan(capsys, "binary") == SCAN_GOLDEN["binary"]
-
-
-def test_help_describes_the_commands_only(capsys):
-    """``--help`` shows the docstring without its last paragraph, which is about the process."""
-    with pytest.raises(SystemExit):
-        cli.main(["--help"])
-    out = " ".join(capsys.readouterr().out.split())
-    assert "Output is byte-deterministic for identical invocations." in out
-    assert "argument parser" not in out
-
-
 def test_scan_past_float_range(capsys, pairs, constants):
     """Rows with x beyond the largest double take the ratio in log space."""
     lo = 10**309
@@ -520,6 +460,25 @@ def test_scan_past_float_range(capsys, pairs, constants):
         assert int(x) == lo + i
         assert int(z) == pair.count_expressible(lo + i)
         assert report.liminf <= float(ratio) <= report.limsup
+
+
+def test_scan_across_the_float_range_edge(capsys, monkeypatch, pairs, constants):
+    """In one chunk, rows whose x converts to a double keep the float ratio; the rest take logs."""
+    monkeypatch.setenv("ZECK_FLOAT_DIGITS", "17")  # tells the two paths apart
+    lo, step = 2**1024 - 2**972, 2**969
+    code, out, _ = run(capsys, ["scan", *BINARY, "--from", str(lo), "--to", str(lo + 16 * step), "--step", str(step)])
+    assert code == 0
+    gamma = constants["binary"].gamma
+    paths = set()
+    for i, line in enumerate(out.splitlines()[1:]):
+        x, z = lo + i * step, pairs["binary"].count_expressible(lo + i * step)
+        try:
+            want, path = float(z) / float(x) ** gamma, "float"
+        except OverflowError:
+            want, path = math.exp(math.log(z) - gamma * math.log(x)), "log"
+        assert line == f"{x},{z},{cli.fmt(want, 17)}"
+        paths.add(path)
+    assert paths == {"float", "log"}
 
 
 # ``verify`` stdout of the binary pair at 17 digits, recorded when the

@@ -164,7 +164,7 @@ def test_counts_at_keeps_the_shape_of_a_2d_array(name, branches):
 
 @pytest.mark.parametrize("name", sorted(PAIR_RULES))
 def test_counts_at_keeps_the_shape_above_the_tables_top(name):
-    """2-D arrays above the rank tables' top, on int64 and on Python ints past 2^62."""
+    """2-D arrays and nested lists above the rank tables' top, on int64 and on Python ints past 2^62."""
     pair = SystemPair(*PAIR_RULES[name])
     for xs in (
         np.array([[5, 9], [3, 2**40]], dtype=np.int64),
@@ -173,6 +173,7 @@ def test_counts_at_keeps_the_shape_above_the_tables_top(name):
         out = pair.counts_at(xs)
         assert out.shape == xs.shape
         assert out.tolist() == [[pair.count_expressible(int(x)) for x in row] for row in xs]
+        assert pair.counts_at(xs.tolist()).tolist() == out.tolist()  # a nested list, past int64 too
 
 
 RANGES = [
@@ -183,6 +184,7 @@ RANGES = [
     range(2**62 - 20, 2**62 + 20, 3),
     range(2**63 - 9, 2**63 + 9, 2),  # arange would wrap these past int64
     range(2**63 + 1, 2**63 + 40, 5),
+    range(2**63 + 20, 2**62, -(2**58)),  # descends from past int64 into it
 ]
 
 
